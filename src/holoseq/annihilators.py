@@ -89,9 +89,6 @@ class Recurrence:
     def degree(self) -> int:
         return max(p.degree for p in self.coeffs)
 
-    def with_initial_terms(self, terms) -> "Recurrence":
-        return Recurrence(self.coeffs, terms)
-
     def reduced(self) -> "Recurrence":
         """Divide out the common polynomial factor of all coefficients,
         keeping any factor with a nonnegative integer root (removing those
@@ -185,9 +182,6 @@ class SequenceStream:
 
     def __iter__(self):
         return iter(self.terms)
-
-    def prefix(self, n: int) -> list:
-        return self.terms[:n]
 
     def __repr__(self):
         return f"SequenceStream({self.mode}, len={len(self.terms)})"

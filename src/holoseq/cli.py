@@ -217,10 +217,6 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool):
                         help="write the JSON payload to a file")
     parser.add_argument("--precision-bits", type=int, default=d(None))
     parser.add_argument("--tol", type=float, default=d(1e-10))
-    parser.add_argument("--seed", type=int, default=d(0),
-                        help="seed for randomized property tests")
-    parser.add_argument("--jobs", type=int, default=d(1),
-                        help="cap on worker count for parallel sections")
 
 
 def build_parser() -> argparse.ArgumentParser:

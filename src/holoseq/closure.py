@@ -7,7 +7,9 @@ All closure operators are found by exact elimination over the rational
 function field: the shifts of a solution live in a finite-dimensional
 module over Q(n), so enough shifts of the combined object must be linearly
 dependent, and the dependency is an annihilator with a provable order
-bound.  No term data is consulted.
+bound.  `kernel.nullspace` returns each dependency as a primitive vector of
+polynomials, which becomes the operator's coefficient list as it is.  No
+term data is consulted.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .annihilators import DiffOp, Recurrence, SequenceStream, ode_to_rec, rec_to_ode, unroll
-from .kernel import Poly, RatFun, nullspace, poly_lcm
+from .kernel import Poly, RatFun, _as_ratfun, clear_denominators, nullspace
 
 
 class DegenerateSubstitution(Exception):
@@ -54,25 +56,13 @@ def _shift_vectors(rec: Recurrence, K: int):
     return vecs
 
 
-def _clear_denominators(vec) -> list:
-    dens = [c.den for c in vec if not c.is_zero()]
-    L = Poly([1])
-    for d in dens:
-        L = poly_lcm(L, d)
-    return [c.num * L.exact_div(c.den) if not c.is_zero() else Poly()
-            for c in vec]
-
-
 def _best_annihilator(basis, initial_terms=None) -> Recurrence:
     """Pick the nicest dependency: prefer relations that reference the
     lowest shift (so no index re-basing happens), then smallest order,
     degree, and coefficient size."""
     candidates = []
     for v in basis:
-        cleared = _clear_denominators(v)
-        if all(p.is_zero() for p in cleared):
-            continue
-        rec = Recurrence(list(reversed(cleared)), initial_terms)
+        rec = Recurrence(list(reversed(v)), initial_terms)
         refs_lowest = not v[0].is_zero()
         size = sum(len(str(c)) for p in rec.coeffs for c in p.coeffs)
         candidates.append(((not refs_lowest, rec.order, rec.degree, size), rec))
@@ -179,7 +169,7 @@ def binomial_diff_seq(seq, N: int, include_zero_term: bool = True,
 
 def substitute_rational(ode: DiffOp, rho: RatFun) -> DiffOp:
     """Operator annihilating y(rho(w)) for every solution y of the given
-    operator; chain rule followed by elimination, denominators cleared."""
+    operator; chain rule followed by elimination over Q(w)."""
     if not isinstance(rho, RatFun):
         rho = RatFun(rho)
     drho = rho.derivative()
@@ -189,8 +179,7 @@ def substitute_rational(ode: DiffOp, rho: RatFun) -> DiffOp:
     if e == 0:
         return DiffOp([Poly([1])])
     # reduction of g_e = y^(e) o rho against the operator at rho(w)
-    q_at = [RatFun(q(rho)) if not isinstance(q(rho), RatFun) else q(rho)
-            for q in ode.coeffs]
+    q_at = [_as_ratfun(q(rho)) for q in ode.coeffs]
     q0 = q_at[0]
     red = [-(q_at[e - i] / q0) for i in range(e)]  # coefficient of g_i
     # h^(j) as vectors over basis g_0..g_{e-1}
@@ -212,12 +201,7 @@ def substitute_rational(ode: DiffOp, rho: RatFun) -> DiffOp:
     basis = nullspace(rows)
     best = None
     for v in basis:
-        cleared = _clear_denominators(v)
-        while cleared and cleared[-1].is_zero():
-            cleared.pop()
-        if not cleared:
-            continue
-        op = DiffOp(list(reversed(cleared)))
+        op = DiffOp(list(reversed(v)))
         size = sum(len(str(c)) for p in op.coeffs for c in p.coeffs)
         key = (op.order, op.degree, size)
         if best is None or key < best[0]:
@@ -248,10 +232,7 @@ def multiply_by_ratfun(ode: DiffOp, r: RatFun) -> DiffOp:
         for j in range(k + 1):
             out[k - j] = out[k - j] + a * s_derivs[j] * binom
             binom = binom * (k - j) // (j + 1)
-    cleared = _clear_denominators(out)
-    while cleared and cleared[-1].is_zero():
-        cleared.pop()
-    return DiffOp(list(reversed(cleared)))
+    return DiffOp(list(reversed(clear_denominators(out))))
 
 
 def binomial_transform_op(rec: Recurrence) -> Recurrence:

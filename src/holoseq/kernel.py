@@ -1,7 +1,10 @@
 """Exact arithmetic foundation: dense univariate polynomials and rational
-functions over arbitrary-precision rationals, plus exact nullspace
-computation for matrices over the rationals or over the rational-function
-field.
+functions over arbitrary-precision rationals, exact nullspaces of matrices
+over Q or Q(x), and rational roots.
+
+`nullspace` has one eliminator for both fields: rows are scaled to integral
+form (ints, or Polys via `clear_denominators`) and reduced by fraction-free
+Bareiss elimination, so no rational-function arithmetic happens inside it.
 
 Everything in this module is pure value semantics; no operation mutates
 its inputs.
@@ -9,6 +12,7 @@ its inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -101,13 +105,15 @@ class Poly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        a, da = _scaled(self.coeffs)
+        b, db = _scaled(other.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        d = da * db
+        return Poly([Fraction(c, d) for c in out])
 
     def __rmul__(self, other) -> "Poly":
         return self.__mul__(other)
@@ -244,6 +250,13 @@ class Poly:
             else:
                 parts.append(f"{c}*x^{i}")
         return "Poly(" + " + ".join(parts) + ")"
+
+
+def _scaled(cs):
+    """Integer numerators of ints or Fractions over their common
+    denominator, and that denominator."""
+    d = math.lcm(*[c.denominator for c in cs])
+    return [c.numerator * (d // c.denominator) for c in cs], d
 
 
 def _as_poly(x) -> Poly:
@@ -391,13 +404,27 @@ def _as_ratfun(x):
 # Exact nullspace
 # ---------------------------------------------------------------------------
 
+def clear_denominators(vec) -> list:
+    """Polys proportional to the given entries (ints, Fractions, Polys or
+    RatFuns): each entry times the monic lcm of all denominators."""
+    rfs = [_as_ratfun(c) for c in vec]
+    L = Poly([1])
+    for c in rfs:
+        if c.den.degree > 0:
+            L = poly_lcm(L, c.den)
+    return [c.num * L.exact_div(c.den) for c in rfs]
+
+
 def nullspace(m: Sequence[Sequence]) -> list:
     """Exact basis of the right nullspace of a rectangular matrix.
 
-    Entries may be ints/Fractions (fraction-free Bareiss elimination) or
-    Poly/RatFun (field elimination over the rational functions).  Returns a
-    list of basis vectors; entries are Fractions in the scalar case and
-    RatFuns otherwise.  An empty list means the nullspace is trivial.
+    Entries may be ints/Fractions or Poly/RatFun.  Each row is scaled to
+    integral form (scalar rows to ints by the lcm of their denominators,
+    other rows to Polys by `clear_denominators`), and one fraction-free
+    Bareiss elimination runs over Z or Q[x].  Returns one primitive vector
+    per free column: ints with gcd 1 for scalar input, otherwise Polys with
+    no common polynomial factor and coprime integer coefficients.  An empty
+    list means the nullspace is trivial.
     """
     rows = [list(r) for r in m]
     if not rows:
@@ -407,23 +434,19 @@ def nullspace(m: Sequence[Sequence]) -> list:
         raise ValueError("ragged matrix")
     if ncols == 0:
         return []
-    scalar = all(isinstance(x, (int, Fraction)) for r in rows for x in r)
-    if scalar:
-        return _nullspace_scalar(rows, ncols)
-    return _nullspace_ratfun(rows, ncols)
+    if all(isinstance(x, (int, Fraction)) for r in rows for x in r):
+        mat = [_scaled(r)[0] for r in rows]
+        return _bareiss_nullspace(mat, ncols, 1, 0)
+    mat = [clear_denominators(r) for r in rows]
+    return _bareiss_nullspace(mat, ncols, Poly([1]), Poly())
 
 
-def _nullspace_scalar(rows, ncols):
-    # Scale each row to integers; Bareiss keeps intermediate entries as
-    # minors of the original matrix, bounding coefficient growth.
-    mat = []
-    for r in rows:
-        fr = [_frac(x) for x in r]
-        den = math.lcm(*[x.denominator for x in fr]) if fr else 1
-        mat.append([int(x * den) for x in fr])
+def _bareiss_nullspace(mat, ncols, one, zero):
+    # Bareiss keeps intermediate entries as minors of the original matrix,
+    # bounding coefficient growth; `//` is exact division in Z and in Q[x]
     nrows = len(mat)
     pivots = []  # (row, col)
-    prev = 1
+    prev = one
     prow = 0
     for col in range(ncols):
         # find pivot
@@ -444,68 +467,46 @@ def _nullspace_scalar(rows, ncols):
             row_p = mat[prow]
             for j in range(col, ncols):
                 row_i[j] = (pc * row_i[j] - ric * row_p[j]) // prev
-            row_i[col] = 0
+            row_i[col] = zero
         pivots.append((prow, col))
         prev = pc
         prow += 1
         if prow == nrows:
             break
-    return _back_substitute(mat, pivots, ncols, Fraction(1), Fraction(0))
-
-
-def _nullspace_ratfun(rows, ncols):
-    mat = [[x if isinstance(x, RatFun) else RatFun(x) for x in r]
-           for r in rows]
-    nrows = len(mat)
-    pivots = []
-    prow = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(prow, nrows):
-            if not mat[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[prow], mat[piv] = mat[piv], mat[prow]
-        pc = mat[prow][col]
-        for i in range(prow + 1, nrows):
-            if mat[i][col].is_zero():
-                continue
-            f = mat[i][col] / pc
-            for j in range(col, ncols):
-                mat[i][j] = mat[i][j] - f * mat[prow][j]
-        pivots.append((prow, col))
-        prow += 1
-        if prow == nrows:
-            break
-    one = RatFun(1)
-    zero = RatFun(0)
-    return _back_substitute(mat, pivots, ncols, one, zero)
-
-
-def _back_substitute(mat, pivots, ncols, one, zero):
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    pivot_cols = {c for _, c in pivots}
     basis = []
-    for fc in free_cols:
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
+        left = [(r, c) for r, c in pivots if c < fc]
+        # The last pivot left of fc is the leading minor of the system that
+        # the pivot columns solve, so by Cramer's rule every entry of this
+        # vector is a minor and every division below is exact.
         v = [zero] * ncols
-        v[fc] = one
-        for (pr, pc) in reversed(pivots):
+        v[fc] = mat[left[-1][0]][left[-1][1]] if left else one
+        for pr, pc in reversed(left):
             s = zero
-            for j in range(pc + 1, ncols):
-                if v[j] is not zero:
-                    s = s + _frac_or_rf(mat[pr][j]) * v[j]
-            piv = _frac_or_rf(mat[pr][pc])
-            v[pc] = -s / piv
-        basis.append(v)
+            for j in range(pc + 1, fc + 1):
+                if v[j]:
+                    s = s + mat[pr][j] * v[j]
+            v[pc] = -s // mat[pr][pc]
+        basis.append(_primitive(v))
     return basis
 
 
-def _frac_or_rf(x):
-    if isinstance(x, int):
-        return Fraction(x)
-    return x
+def _primitive(v):
+    """Divide a nonzero vector of ints by their gcd, or a vector of Polys
+    by their monic gcd and then by the rational content of all
+    coefficients."""
+    if isinstance(v[0], int):
+        g = math.gcd(*v)
+        return [x // g for x in v]
+    g = functools.reduce(poly_gcd, v)
+    if g.degree > 0:
+        v = [p.exact_div(g) for p in v]
+    # the content of the coefficient list of every entry, read as one Poly
+    content = Poly([c for p in v for c in p.coeffs]).content()
+    return [p * (1 / content) for p in v]
 
 
 # ---------------------------------------------------------------------------

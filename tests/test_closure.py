@@ -56,6 +56,86 @@ def random_safe_rec(rng, max_order=2):
     return Recurrence(coeffs, initial_terms=init)
 
 
+# Golden operators as normalized coefficient lists [p_0, ..., p_d], each
+# polynomial in ascending powers.  The kernel vector of each free column is
+# unique up to a factor in Q(n), and operator normalization removes that
+# factor, so every exact eliminator must reproduce these lists.
+# GOLDEN_CLOSURES rows: (a, a_init, b, b_init, closure_sum, closure_hadamard),
+# shapes 1x1, 2x1, 2x2 at degree 2, and 3x2; the inputs were drawn from
+# random.Random(4) and are kept literal.
+GOLDEN_CLOSURES = [
+    ([[1, 2], [-3, 2]], [0], [[2, 1], [-3, -3]], [-3],
+     [[-27, 63, 156, 92, 16], [-36, -258, -328, -168, -32], [135, 279, 60, -132, -48]],
+     [[2, 5, 2], [-9, -3, 6]]),
+    ([[2, 3], [-1, 3], [3, -3]], [-2, 1], [[3, 2], [-1, 3]], [-2],
+     [[-1260, -2201, 293, 1221, 345, 18], [-460, -1524, -517, 1611, 795, 45],
+      [-22, 950, 348, -441, 126, 9], [66, -450, 789, 45, -423, -27]],
+     [[15, 16, 4], [3, -7, -6], [-3, 12, -9]]),
+    ([[1, 2, 1], [-3, 3, 2], [3, -1, 3]], [-1, -2], [[1, 2, 2], [2, 3, 2], [3, 3, -1]],
+     [-3, 3],
+     [[31590, 73557, 15567, -99470, -96611, 19918, 106862, 107811, 64937, 26024, 6739,
+       1010, 66],
+      [76230, 254329, 296749, 105556, -7447, 133465, 306067, 308339, 189298, 76354,
+       19840, 2997, 198],
+      [66375, 254108, 398101, 367219, 340870, 444817, 531656, 452084, 263479, 104337,
+       27142, 4215, 297],
+      [41220, 156262, 240459, 253606, 335890, 468210, 476893, 338390, 169538, 59158,
+       13763, 1954, 132],
+      [5805, 37053, 128673, 241722, 299496, 304853, 241485, 127536, 37958, 2419, -2513,
+       -888, -99]],
+     [[234000, 2081640, 8422028, 20879730, 35753296, 45430999, 45322158, 37163653,
+       25714707, 14981454, 7161999, 2709356, 779712, 163112, 23260, 2016, 80],
+      [-47400, -1260380, -7675730, -24713909, -51567513, -76592085, -85853080,
+       -75699740, -53929001, -31340187, -14736723, -5482340, -1560990, -325264, -46416,
+       -4032, -160],
+      [162330, 1672845, 8103163, 24186829, 50026632, 76460877, 90150006, 84513786,
+       64023564, 39219022, 19203931, 7378866, 2173359, 474936, 72860, 7024, 320],
+      [410350, 1909445, 3513840, 1837827, -5657824, -16711824, -24868768, -24928522,
+       -17659853, -8546620, -2363057, 38535, 349533, 157736, 36464, 4528, 240],
+      [1186650, 6164955, 15558960, 26331963, 33809219, 34315389, 27304293, 16206677,
+       6300775, 784179, -774029, -552687, -152661, -4082, 8963, 2256, 180]]),
+    ([[3, 2], [2], [1, -2], [-2, -2]], [0, -1, -3], [[3, 2], [-3, -1], [1, 2]], [-1, 3],
+     [[170100, 666693, 1006427, 809904, 377174, 101212, 14456, 848],
+      [-62020, -201680, -345433, -318381, -163406, -46890, -7016, -424],
+      [-21790, -12662, 29602, 42778, 22148, 5068, 424],
+      [-60104, -220090, -335047, -276737, -133394, -38362, -6168, -424],
+      [120282, 371525, 410213, 197746, 28252, -10460, -4260, -424],
+      [-63572, -310822, -576688, -540714, -282880, -83940, -13184, -848]],
+     [[370664910, -221976153, -2911202805, -4648257586, -2832125072, 236819416,
+       1568212316, 1200578968, 510106420, 138834328, 24823584, 2833088, 187712, 5504],
+      [487948860, 501654762, -1103117100, -2559520910, -2143062260, -843293904,
+       -65475904, 88068104, 44264248, 10411272, 1370224, 96096, 2752],
+      [300538980, 651669012, 353611373, 87007102, 879232805, 1965998366, 2084778564,
+       1339834612, 568368804, 163644300, 31779548, 3995496, 294096, 9632],
+      [239467020, 25588094, -1009948022, -871605980, 1351705856, 3323111946, 3214918186,
+       1863924004, 714597584, 186442352, 32883816, 3762496, 252600, 7568],
+      [246894570, 323328201, -357380321, -878507230, -294499856, 668092044, 984212092,
+       683014560, 297467956, 86907816, 17116624, 2188400, 164320, 5504],
+      [54400680, 285174864, 693323286, 1160049816, 1500398430, 1475289180, 1064721120,
+       554506840, 206790280, 54617544, 9975944, 1199664, 85600, 2752],
+      [-11121840, -49486272, -9269428, 356425000, 1008318916, 1432816888, 1271256736,
+       757775760, 312356528, 89412880, 17463792, 2220640, 165696, 5504]]),
+]
+
+GOLDEN_TRANSFORMS = [
+    ([[1], [-1], [-1]], [0, 1], [[1], [-1], [-1]]),
+    ([[2, 3], [-1, 3], [3, -3]], [-2, 1],
+     [[256, 160, 24], [-1014, -765, -141], [1346, 1193, 276], [-672, -744, -204],
+      [90, 135, 45]]),
+    ([[1, 2, 1], [-3, 3, 2], [3, -1, 3]], [-1, -2],
+     [[80, 56, 13, 1], [-304, -216, -47, -3], [419, 229, 21, -3], [27, 237, 163, 29],
+      [-288, -492, -258, -42], [108, 198, 108, 18]]),
+]
+
+GOLDEN_SUBSTITUTIONS = [
+    ([[1, -1], [-1]], [[-1, 1], [-1]]),
+    ([[1, 0, -1], [0, -3], [2]], [[-1, 4, -5, 2], [2, -3, 1], [-2]]),
+    ([[1, 2], [0, 1, 1], [3, 0, 1], [1]],
+     [[1, -8, 25, -40, 35, -16, 3], [-6, 43, -112, 137, -80, 18], [9, -44, 82, -64, 18],
+      [-1]]),
+]
+
+
 class TestClosureSum:
     def test_one_plus_two_pow(self):
         a = Recurrence([P(1), P(-1)], initial_terms=[1])
@@ -263,3 +343,32 @@ class TestBinomialTransformOp:
         transformed = binomial_diff_seq(SequenceStream.exact(fib), 110)
         res = apply(rec, transformed, range(100))
         assert all(r == 0 for r in res)
+
+
+def _rec(coeffs, init=None):
+    return Recurrence([Poly(c) for c in coeffs], initial_terms=init)
+
+
+def _coeff_lists(op):
+    return [list(p.coeffs) for p in op.coeffs]
+
+
+class TestGoldenOperators:
+    @pytest.mark.parametrize("a, a_init, b, b_init, want_sum, want_had", GOLDEN_CLOSURES,
+                             ids=["1x1", "2x1", "2x2-deg2", "3x2"])
+    def test_closures(self, a, a_init, b, b_init, want_sum, want_had):
+        ra, rb = _rec(a, a_init), _rec(b, b_init)
+        assert _coeff_lists(closure_sum(ra, rb)) == want_sum
+        assert _coeff_lists(closure_hadamard(ra, rb)) == want_had
+
+    @pytest.mark.parametrize("rec, init, want", GOLDEN_TRANSFORMS,
+                             ids=["fibonacci", "order2-deg1", "order2-deg2"])
+    def test_binomial_transform_op(self, rec, init, want):
+        assert _coeff_lists(binomial_transform_op(_rec(rec, init))) == want
+
+    @pytest.mark.parametrize("ode, want", GOLDEN_SUBSTITUTIONS,
+                             ids=["order1", "order2", "order3"])
+    def test_substitute_rational(self, ode, want):
+        rho = RatFun(P(0, -1), P(1, -1))  # -w/(1-w)
+        sub = substitute_rational(DiffOp([Poly(c) for c in ode]), rho)
+        assert _coeff_lists(sub) == want

@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 from fractions import Fraction
 
@@ -158,6 +160,35 @@ class TestNullspace:
                 for a, b in zip(row, v):
                     s = s + a * b
                 assert s.is_zero()
+        # seeded random matrices over Q[n]: M v = 0, primitive vectors, nullity
+        rng = random.Random(23)
+
+        def rand_poly(deg):
+            return Poly([Fraction(rng.choice([0, 0, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                         for _ in range(deg + 1)])
+
+        for _ in range(40):
+            ncols = rng.randint(1, 6)
+            m = [[rand_poly(rng.randint(0, 2)) for _ in range(ncols)]
+                 for _ in range(rng.randint(1, 3))]
+            # rows combining earlier ones over Q[n] lower the rank over Q(n)
+            for _ in range(rng.randint(0, 2)):
+                mult = [rand_poly(1) for _ in m]
+                m.append([sum((c * row[j] for c, row in zip(mult, m)), Poly())
+                          for j in range(ncols)])
+            rng.shuffle(m)
+            basis = nullspace(m)
+            for v in basis:
+                for row in m:
+                    assert sum((a * b for a, b in zip(row, v)), Poly()) == Poly()
+                assert functools.reduce(poly_gcd, v).degree == 0
+                cs = [c for p in v for c in p.coeffs]
+                assert all(c.denominator == 1 for c in cs)
+                assert math.gcd(*[c.numerator for c in cs]) == 1
+            # the rank over Q(n) is the largest rank at a few integer points
+            rank = max(_fraction_rank([[p(x) for p in row] for row in m])
+                       for x in (3, 7, 19))
+            assert len(basis) == ncols - rank
 
 
 class TestRationalRoots:
