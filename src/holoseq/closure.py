@@ -14,9 +14,11 @@ term data is consulted.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
+from . import hpeval
 from .annihilators import DiffOp, Recurrence, SequenceStream, ode_to_rec, rec_to_ode, unroll
 from .kernel import Poly, RatFun, _as_ratfun, clear_denominators, nullspace
 
@@ -143,24 +145,16 @@ def binomial_diff_seq(seq, N: int, include_zero_term: bool = True,
         raise ValueError("sequence not defined through the requested index")
     k0 = 0 if include_zero_term else 1
     if stream.mode == "exact":
-        out = []
-        for n in range(N + 1):
-            binom = 1  # binom(n, 0)
-            s = Fraction(0)
-            for k in range(0, n + 1):
-                if k >= k0:
-                    s += (binom if k % 2 == 0 else -binom) * stream.terms[k]
-                binom = binom * (n - k) // (k + 1)
-            out.append(s)
-        return SequenceStream(out, "exact")
-    from . import hpeval
+        # integers over the common denominator L, swept exactly
+        terms = stream.terms[k0:N + 1]
+        L = math.lcm(*(t.denominator for t in terms))
+        table = [0] * k0 + [t.numerator * (L // t.denominator) for t in terms]
+        sums = hpeval._sweep(table, range(N + 1))
+        return SequenceStream([Fraction(sums[n], L) for n in range(N + 1)], "exact")
     g = target_bits if target_bits is not None else 64
-    values, bounds = [], []
-    for n in range(N + 1):
-        br = hpeval.binomial_diff_stream_eval(stream, n, g, start=k0)
-        values.append(br.value)
-        bounds.append(br.bound)
-    return SequenceStream(values, "float", bounds)
+    out = hpeval.binomial_diff_stream_grid(stream, range(N + 1), g, start=k0)
+    return SequenceStream([out[n].value for n in range(N + 1)], "float",
+                          [out[n].bound for n in range(N + 1)])
 
 
 # ---------------------------------------------------------------------------

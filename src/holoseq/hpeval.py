@@ -4,15 +4,22 @@ The central difficulty is the alternating binomial sum
 
     sum_k binom(n,k) (-1)^k f(k),
 
-whose terms reach about 2^n while the result stays O(loglog n): the sum is
-evaluated at a working precision of roughly n + g + 2*log2(n) bits to
-absorb the cancellation, where 2^-g is the requested absolute error.
+whose terms reach about 2^n while the result stays O(loglog n), with 2^-g
+the requested absolute error.  It is computed in fixed point: the values
+become integers F_k = round(f(k) 2^p) at p = n + g + 2*log2(n) + 12 bits,
+and one exact forward-difference sweep gives
+D_n = sum_k binom(n,k) (-1)^k F_k for every n of a grid (Flajolet and
+Sedgewick, "Mellin transforms and asymptotics: finite differences and
+Rice's integrals", TCS 144, 1995).  Each F_k is within 1/2 + 16 M_n of
+2^p f(k), M_n bounding |f(k)| for k <= n, so the error of D_n 2^-p is at
+most 2^(n-p) (1/2 + 16 M_n): the bound is known before the sweep, and no
+retry is needed.
 
-Values are carried as ``BigReal``: a midpoint at working precision plus an
-absolute error bound.  Bounds are propagated conservatively (midpoint
-arithmetic with doubled ulp slop, not directed rounding); the doubling
-invariant (recompute at p+64 bits, compare within bounds) is the
-operational check of the model.
+Values are carried as ``BigReal``: a midpoint plus an absolute error
+bound.  Outside the alternating sums, bounds are propagated conservatively
+(midpoint arithmetic with doubled ulp slop, not directed rounding); the
+doubling invariant (recompute at p+64 bits, compare within bounds) is the
+operational check of that model.
 """
 
 from __future__ import annotations
@@ -20,10 +27,12 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from operator import add, sub
 from typing import Callable, Iterable, Union
 
 import mpmath
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, round_up
 
 DEFAULT_PRECISION_CAP = 1 << 18  # bits
 
@@ -163,14 +172,104 @@ def _alternating_precision(n: int, target_bits: int) -> int:
     return n + target_bits + 2 * math.ceil(math.log2(n + 2)) + 12
 
 
+def _indices(ns) -> list:
+    ns = sorted(set(int(n) for n in ns))
+    if ns and ns[0] < 0:
+        raise ValueError("indices must be nonnegative")
+    return ns
+
+
+def _sweep(table, ns, op=sub) -> dict:
+    """{n: d_n[0] for n in ns} for the rows d_0 = table,
+    d_j[k] = op(d_{j-1}[k], d_{j-1}[k+1]).
+
+    With `sub`, d_n[0] = sum_k binom(n,k) (-1)^k table[k] (forward
+    differences); with `add`, sum_k binom(n,k) table[k].  `ns` is sorted.
+    One pass over n <= max(ns) costs max(ns)^2/2 operations and keeps only
+    the current row alive."""
+    want = set(ns)
+    nmax = ns[-1]
+    d = table[:nmax + 1]
+    out = {}
+    for n in range(nmax + 1):
+        if n in want:
+            out[n] = d[0]
+        if n < nmax:
+            d = list(map(op, d, d[1:]))
+    return out
+
+
+def _scaled(x, p: int, ceil: bool = False) -> int:
+    """x 2^p rounded to the nearest integer (error at most 1/2), or rounded
+    up with `ceil`, exactly, for a real int, float, Fraction or mpf."""
+    if isinstance(x, mpf):
+        sign, man, exp, _ = x._mpf_
+        if not man and exp:
+            raise ValueError("non-finite value in an alternating sum")
+        num = -man if sign else man
+        exp += p
+        if exp >= 0:
+            return num << exp
+        den = 1 << -exp
+    else:
+        num, den = Fraction(x).as_integer_ratio()
+        num <<= p
+    return -(-num // den) if ceil else (2 * num + den) // (2 * den)
+
+
+def _fixed_tables(values, p: int) -> list:
+    """[round(v 2^p)] as one integer table, or the real and the imaginary
+    table when any value is complex."""
+    if any(isinstance(v, (mpc, complex)) for v in values):
+        return [[_scaled(v.real, p) for v in values],
+                [_scaled(v.imag, p) for v in values]]
+    return [[_scaled(v, p) for v in values]]
+
+
+def _from_fixed(sums, p: int):
+    """The mpf (or mpc, from two sums) with value sum 2^-p, exactly."""
+    parts = [from_man_exp(s, -p) for s in sums]
+    return mp.make_mpf(parts[0]) if len(parts) == 1 else mp.make_mpc(tuple(parts))
+
+
+def _upper(man: int, exp: int) -> mpf:
+    """man 2^exp rounded up to 53 bits."""
+    return mp.make_mpf(from_man_exp(man, exp, 53, round_up))
+
+
+def _f_tables(f: Callable, nmax: int, start: int, p: int) -> list:
+    lead = min(start, nmax + 1)
+    with mp.workprec(p):
+        values = [0] * lead + [f(k, p) for k in range(lead, nmax + 1)]
+    return _fixed_tables(values, p)
+
+
+def _error_numerators(tables, ns, p: int) -> dict:
+    """{n: X_n} with X_n 2^(n-3p-1) = 2^(n-p) (r + 16 M_n), the error
+    bound at n.
+
+    r bounds the rounding of one table entry: 1/2 for a real table,
+    sqrt(2)/2 <= 1 for a complex pair.  M_n = A_n (1 + 2^(5-p)) 2^-p bounds
+    |f(k)| for k <= n, with A_n the largest |re| + |im| + 1 of those
+    entries: the returned f(k) is at most A_k 2^-p in modulus and within
+    2^(4-p) |f(k)| of the true value."""
+    rounding = len(tables) << 2 * p
+    scale = 32 * ((1 << p) + 32)
+    a = 1
+    A = []
+    for entries in zip(*tables):
+        a = max(a, sum(abs(e) for e in entries) + 1)
+        A.append(a)
+    return {n: rounding + scale * A[n] for n in ns}
+
+
 def binomial_diff_eval(f: Callable, n: int, target_bits: int,
                        start: int = 1) -> BigReal:
     """sum_{k=start}^{n} binom(n,k) (-1)^k f(k) with |error| <= 2^-target_bits.
 
     `f(k, prec)` must return an mpf/mpc with relative error at most
-    2^(4-prec).  The working precision is raised to about
-    n + target_bits + 2*log2(n) bits so the ~2^n cancellation between terms
-    cannot contaminate the result.
+    2^(4-prec).  See `binomial_diff_grid` for the working precision and the
+    error bound.
     """
     return binomial_diff_grid(f, [n], target_bits, start=start)[n]
 
@@ -178,84 +277,84 @@ def binomial_diff_eval(f: Callable, n: int, target_bits: int,
 def binomial_diff_grid(f: Callable, ns: Iterable[int], target_bits: int,
                        start: int = 1) -> dict:
     """Evaluate the alternating binomial sum at every n in `ns`, sharing
-    one table of f-values computed at the highest required precision.
-    Deterministic: identical (ns, target_bits) give identical bits."""
-    ns = sorted(set(int(n) for n in ns))
+    one table of f-values and one forward-difference sweep.
+
+    The table holds the integers F_k = round(f(k, p) 2^p) for k <= max(ns),
+    with F_k = 0 for k < start, at p = n + target_bits + 2 log2 n + 12 bits
+    for the largest n; the sweep is exact.  The error bound is therefore
+    known before the sweep: |value - sum| <= 2^(n-p) (1/2 + 16 M_n), with
+    M_n an upper bound on |f(k)| for k <= n read from the table (1 in
+    place of 1/2 for complex f).  It is at most 2^-target_bits whenever
+    |f(k)| <= 256 n^2 for k <= n; a faster-growing f is evaluated once more at the
+    precision this formula asks for.  Deterministic: identical
+    (ns, target_bits) give identical bits.
+    """
+    ns = _indices(ns)
     if not ns:
         return {}
-    if ns[0] < 0:
-        raise ValueError("indices must be nonnegative")
     nmax = ns[-1]
     g = target_bits
+    start = max(start, 0)
     p = _alternating_precision(nmax, g)
     _check_precision(p)
-    for _ in range(3):
-        with mp.workprec(p):
-            table = [None] * (nmax + 1)
-            for k in range(start, nmax + 1):
-                table[k] = f(k, p)
-            out = {}
-            worst_deficit = 0
-            ns_set = set(ns)
-            # walk n upward, updating the binomial row incrementally
-            row = [1]  # binom(0, k)
-            for n in range(0, nmax + 1):
-                if n > 0:
-                    new = [1] * (n + 1)
-                    for k in range(1, n):
-                        new[k] = row[k - 1] + row[k]
-                    row = new
-                if n not in ns_set:
-                    continue
-                s = mpf(0)
-                gross = mpf(0)
-                for k in range(max(start, 0), n + 1):
-                    t = row[k] * table[k]
-                    gross += abs(t)
-                    s = s - t if k % 2 else s + t
-                err = gross * mpf(2) ** (4 - p) * (2 * n + 6)
-                target = mpf(2) ** (-g)
-                if err > target:
-                    deficit = int(mpmath.ceil(mpmath.log(err / target, 2)))
-                    worst_deficit = max(worst_deficit, deficit)
-                out[n] = BigReal(s, err)
-            if worst_deficit == 0:
-                return out
-        p += worst_deficit + 16
+    tables = _f_tables(f, nmax, start, p)
+    # r + 16 M_n <= 2^c with c = bit_length(X_n) - 2p - 1; one more bit
+    # covers the drift of M_n between two precisions
+    need = max(n + g + (x - 1).bit_length() - 2 * p
+               for n, x in _error_numerators(tables, ns, p).items())
+    if need > p:
+        p = need
         _check_precision(p)
-    raise PrecisionExhausted("alternating sum failed to meet its bound")
+        tables = _f_tables(f, nmax, start, p)
+    errors = _error_numerators(tables, ns, p)
+    # reached only by an f that breaks its contract
+    if any(errors[n] > 1 << (3 * p + 1 - n - g) for n in ns):
+        raise PrecisionExhausted("alternating sum failed to meet its bound")
+    sums = [_sweep(t, ns) for t in tables]
+    return {n: BigReal(_from_fixed([s[n] for s in sums], p),
+                       _upper(errors[n], n - 3 * p - 1))
+            for n in ns}
+
+
+def binomial_diff_stream_grid(stream, ns: Iterable[int], target_bits: int,
+                              start: int = 0) -> dict:
+    """Alternating binomial sums of stored terms with per-term bounds b_k,
+    at every n in `ns`.
+
+    The terms are rounded to F_k = round(t_k 2^p) at the working precision
+    p of `binomial_diff_grid` and swept exactly; the same sweep with + in
+    place of - over ceil(b_k 2^p) + 1 gives the bound
+    2^-p sum_k binom(n,k) (ceil(b_k 2^p) + 1) exactly.  The achievable
+    accuracy is limited by the data: if that bound exceeds
+    2^-target_bits, PrecisionExhausted is raised (more working precision
+    cannot help)."""
+    ns = _indices(ns)
+    if not ns:
+        return {}
+    nmax = ns[-1]
+    if len(stream.terms) <= nmax:
+        raise ValueError("stream too short")
+    p = _alternating_precision(nmax, target_bits)
+    _check_precision(p)
+    lead = min(max(start, 0), nmax + 1)
+    bounds = stream.bounds or [0] * len(stream.terms)
+    slack = [0] * lead + [_scaled(b, p, ceil=True) + 1
+                          for b in bounds[lead:nmax + 1]]
+    amplified = _sweep(slack, ns, add)
+    if any(amplified[n] > 1 << (p - target_bits) for n in ns):
+        raise PrecisionExhausted(
+            "input bounds amplify beyond the requested accuracy")
+    tables = _fixed_tables([0] * lead + stream.terms[lead:nmax + 1], p)
+    sums = [_sweep(t, ns) for t in tables]
+    return {n: BigReal(_from_fixed([s[n] for s in sums], p),
+                       _upper(amplified[n], -p))
+            for n in ns}
 
 
 def binomial_diff_stream_eval(stream, n: int, target_bits: int,
                               start: int = 0) -> BigReal:
-    """Alternating binomial sum over stored float terms with per-term
-    bounds.  The achievable accuracy is limited by the data: if the
-    amplified input bounds exceed the target, PrecisionExhausted is raised
-    (more working precision cannot help)."""
-    terms = stream.terms
-    bounds = stream.bounds or [0.0] * len(terms)
-    if len(terms) <= n:
-        raise ValueError("stream too short")
-    p = _alternating_precision(n, target_bits)
-    _check_precision(p)
-    with mp.workprec(p):
-        s = mpf(0)
-        amplified = mpf(0)
-        gross = mpf(0)
-        binom = 1
-        for k in range(0, n + 1):
-            if k >= start:
-                t = binom * mpf(terms[k]) if not isinstance(terms[k], (mpc, complex)) \
-                    else binom * mpc(terms[k])
-                gross += abs(t)
-                amplified += binom * mpf(bounds[k])
-                s = s - t if k % 2 else s + t
-            binom = binom * (n - k) // (k + 1)
-        err = amplified + gross * mpf(2) ** (4 - p) * (2 * n + 6)
-        if err > mpf(2) ** (-target_bits):
-            raise PrecisionExhausted(
-                "input bounds amplify beyond the requested accuracy")
-        return BigReal(s, err)
+    """The sum of `binomial_diff_stream_grid` at the single index n."""
+    return binomial_diff_stream_grid(stream, [n], target_bits, start)[n]
 
 
 def degenerate_power(alpha) -> bool:
@@ -266,20 +365,42 @@ def degenerate_power(alpha) -> bool:
     return float(alpha) == int(alpha)
 
 
+def power_seq(alpha) -> Callable:
+    """f(k, prec) = k^alpha = exp(alpha log k) within the relative error
+    2^(4-prec) of the alternating-sum contract, for real, complex or
+    rational alpha.
+
+    alpha log k is formed with 16 guard bits: exp turns the absolute
+    rounding error of its argument into a relative error of the result,
+    about |alpha log k| 2^-prec.  Rational alpha is converted at that
+    precision, not through float; alpha = 1/2 takes the correctly rounded
+    square root."""
+    if alpha == 0.5:
+        def f(k, prec):
+            with mp.workprec(prec):
+                return mpmath.sqrt(k)
+        return f
+
+    def f(k, prec):
+        if k == 1:
+            return mpf(1)
+        with mp.workprec(prec + 16):
+            if isinstance(alpha, (complex, mpc)):
+                a = mpc(alpha)
+            elif isinstance(alpha, Fraction):
+                a = mpf(alpha.numerator) / alpha.denominator
+            else:
+                a = mpf(alpha)
+            return mpmath.exp(a * mpmath.log(k))
+    return f
+
+
 def power_diff_eval(alpha, n: int, target_bits: int) -> BigReal:
     """w_n = sum_{k=1}^n binom(n,k) (-1)^k k^alpha, k^alpha = exp(alpha log k).
 
-    alpha may be complex; integer alpha is allowed (the degenerate
-    holonomic case, see `degenerate_power`)."""
-    a_is_complex = isinstance(alpha, (complex, mpc)) and mpc(alpha).imag != 0
-
-    def f(k, prec):
-        with mp.workprec(prec):
-            if a_is_complex:
-                return mpmath.exp(mpc(alpha) * mpmath.log(k))
-            return mpmath.exp(mpf(alpha) * mpmath.log(k)) if k > 1 else mpf(1)
-
-    return binomial_diff_eval(f, n, target_bits, start=1)
+    alpha may be complex or a Fraction; integer alpha is allowed (the
+    degenerate holonomic case, see `degenerate_power`)."""
+    return binomial_diff_eval(power_seq(alpha), n, target_bits, start=1)
 
 
 # ---------------------------------------------------------------------------

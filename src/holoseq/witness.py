@@ -85,9 +85,8 @@ def witness_log(nmax: int = 2000, grid=None, target_bits: int = 64) -> WitnessRe
     if nmax > 5000:
         raise ValueError("nmax capped at 5000 for this witness")
     t0 = time.monotonic()
-    ns = sorted(set(int(n) for n in (grid if grid is not None
-                                     else range(100, nmax + 1))))
-    if ns and ns[0] < 2:
+    ns = _grid(grid, nmax, 100, range(100, nmax + 1))
+    if ns[0] < 2:
         raise ValueError("grid indices need n >= 2 so loglog n is defined")
     values = hpeval.binomial_diff_grid(_log_seq, ns, target_bits)
     samples = []
@@ -119,21 +118,22 @@ def witness_log(nmax: int = 2000, grid=None, target_bits: int = 64) -> WitnessRe
                          int((time.monotonic() - t0) * 1000))
 
 
-def _power_seq(alpha):
-    half = (alpha == 0.5)
-
-    def f(k, prec):
-        with mp.workprec(prec):
-            if half:
-                return mpmath.sqrt(k)
-            if k == 1:
-                return mpf(1)
-            return mpmath.exp(mpf(alpha) * mpmath.log(k))
-    return f
-
-
 def log_grid(lo: int, hi: int, points: int) -> List[int]:
     return sorted(set(int(round(x)) for x in np.geomspace(lo, hi, points)))
+
+
+def _grid(grid, nmax: int, lo: int, default) -> List[int]:
+    """The sorted sample indices: `grid` if given, else `default`, the
+    default grid lo..nmax, which needs nmax >= lo."""
+    if grid is None:
+        if nmax < lo:
+            raise ValueError(f"nmax = {nmax} is below {lo}, the lower end of "
+                             f"the default grid; pass nmax >= {lo} or a grid")
+        grid = default
+    ns = sorted(set(int(n) for n in grid))
+    if not ns:
+        raise ValueError("empty grid")
+    return ns
 
 
 def witness_powers(alpha=0.5, nmax: int = 5000, grid=None,
@@ -163,9 +163,8 @@ def witness_powers(alpha=0.5, nmax: int = 5000, grid=None,
                             "provenance": "positive evidence by exact certificate"}},
             0, int((time.monotonic() - t0) * 1000))
 
-    ns = sorted(set(int(n) for n in (grid if grid is not None
-                                     else log_grid(500, nmax, 48))))
-    values = hpeval.binomial_diff_grid(_power_seq(alpha), ns, target_bits)
+    ns = _grid(grid, nmax, 500, log_grid(500, nmax, 48))
+    values = hpeval.binomial_diff_grid(hpeval.power_seq(alpha), ns, target_bits)
     a_frac = (Fraction(alpha) if not isinstance(alpha, float)
               else Fraction(alpha).limit_denominator(10 ** 9))
     g1a = hpeval.gamma(1 - a_frac, target_bits)

@@ -147,6 +147,19 @@ class TestCli:
             assert key in payload
         assert payload["experiment"] == "log"
 
+    def test_witness_powers_rational_alpha(self, capsys):
+        code = main(["--json", "witness", "powers", "--alpha", "1/3",
+                     "--nmax", "800"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["params"]["alpha"] == 1 / 3
+        assert payload["verdicts"] and all(payload["verdicts"].values())
+
+    def test_witness_nmax_below_default_grid_exit_2(self, capsys):
+        assert main(["witness", "log", "--nmax", "50"]) == 2
+        assert "lower end of the default grid" in capsys.readouterr().err
+        assert main(["witness", "powers", "--nmax", "300"]) == 2
+
     def test_closure_sum(self, tmp_path, capsys):
         a = Recurrence([P(1), P(-1)], initial_terms=[1])
         b = Recurrence([P(1), P(-2)], initial_terms=[1])

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -6,6 +7,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from holoseq.annihilators import SequenceStream
+from holoseq import hpeval
 from holoseq.closure import binomial_diff_seq
 from holoseq.hpeval import (
     BigReal,
@@ -121,6 +123,135 @@ class TestStreamEval:
                                      "float", [mpf(2) ** -50] * 61)
         with pytest.raises(PrecisionExhausted):
             binomial_diff_stream_eval(fstream, 60, 64)
+
+
+def exact(x) -> Fraction:
+    """The exact rational value of an mpf."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def direct_sum(f, n, start):
+    """sum_k binom(n,k) (-1)^k f(k) with exact binomials and mpmath at
+    n + 128 bits; shares no code with the sweep."""
+    with mp.workprec(n + 128):
+        s = mpf(0)
+        for k in range(start, n + 1):
+            t = math.comb(n, k) * f(k)
+            s = s - t if k % 2 else s + t
+        return s
+
+
+def nested_loop_transform(terms, N, k0):
+    """The exact transform term by term, as binomial_diff_seq computed it
+    before the sweep: the reference for bit-identical output."""
+    out = []
+    for n in range(N + 1):
+        binom = 1
+        s = Fraction(0)
+        for k in range(0, n + 1):
+            if k >= k0:
+                s += (binom if k % 2 == 0 else -binom) * terms[k]
+            binom = binom * (n - k) // (k + 1)
+        out.append(s)
+    return out
+
+
+class TestOracles:
+    @pytest.mark.parametrize("g", [64, 128])
+    def test_reciprocal_identity(self, g):
+        # sum_k binom(n,k) (-1)^k / (k+1) = 1/(n+1)
+        def f(k, prec):
+            with mp.workprec(prec):
+                return mpf(1) / (k + 1)
+
+        ns = [0, 1, 2, 7, 64, 333, 1000, 1499, 1500]
+        out = binomial_diff_grid(f, ns, g, start=0)
+        for n in ns:
+            r = out[n]
+            assert abs(exact(r.value) - Fraction(1, n + 1)) <= exact(r.bound)
+            assert exact(r.bound) <= Fraction(1, 2 ** g)
+
+    @pytest.mark.parametrize("name", ["log", "sqrt", "alpha=i"])
+    def test_direct_sum(self, name):
+        f, direct = {
+            "log": (log_seq, mpmath.log),
+            "sqrt": (sqrt_seq, mpmath.sqrt),
+            "alpha=i": (None, lambda k: mpmath.exp(mpc(0, 1) * mpmath.log(k))),
+        }[name]
+        for n in [2, 37, 250, 600]:
+            r = (power_diff_eval(mpc(0, 1), n, 64) if f is None
+                 else binomial_diff_eval(f, n, 64))
+            ref = direct_sum(direct, n, 1)
+            with mp.workprec(n + 128):
+                # the direct sum's own rounding is below 2^(n + log2 n - (n+128))
+                assert abs(r.value - ref) <= r.bound + mpf(2) ** -100
+            assert r.bound <= mpf(2) ** -64
+
+    @pytest.mark.parametrize("include_zero", [True, False])
+    def test_exact_transform_matches_nested_loop(self, include_zero):
+        rng = random.Random(20)
+        for _ in range(20):
+            N = rng.randint(0, 40)
+            terms = [Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                              rng.randint(1, 10 ** rng.randint(0, 4)))
+                     for _ in range(N + 1)]
+            out = binomial_diff_seq(SequenceStream.exact(terms), N,
+                                    include_zero_term=include_zero).terms
+            assert out == nested_loop_transform(terms, N, 0 if include_zero else 1)
+            assert all(type(t) is Fraction for t in out)
+
+
+class TestWorkCounts:
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def g(k, prec):
+            calls.append(k)
+            return f(k, prec)
+        return g, calls
+
+    @pytest.mark.parametrize("start", [0, 1, 5])
+    def test_one_f_call_per_index(self, start):
+        def log1(k, prec):
+            with mp.workprec(prec):
+                return mpmath.log(k + 1)
+
+        for f in (log1, sqrt_seq):
+            g, calls = self.counted(f)
+            binomial_diff_grid(g, [30, 100, 400], 64, start=start)
+            assert sorted(calls) == list(range(start, 401))
+
+    def test_fast_growing_f_is_evaluated_twice(self):
+        # k^3.5 outgrows 256 k^2: its precision comes from the bound
+        # formula, so one recomputation meets the target
+        g, calls = self.counted(hpeval.power_seq(3.5))
+        r = binomial_diff_eval(g, 300, 64)
+        assert sorted(calls) == sorted(list(range(1, 301)) * 2)
+        assert r.bound <= mpf(2) ** -64
+        assert abs(r.value - direct_sum(lambda k: mpf(k) ** 3.5, 300, 1)) <= r.bound
+
+    def test_cap_raises_before_any_f_call(self, monkeypatch):
+        monkeypatch.setenv("HOLO_PRECISION_CAP", "128")
+        g, calls = self.counted(log_seq)
+        with pytest.raises(PrecisionExhausted):
+            binomial_diff_eval(g, 1000, 64)
+        assert calls == []
+
+    def test_stream_bounds_contain_exact_transform(self):
+        rng = random.Random(7)
+        N = 120
+        terms = [Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000))
+                 for _ in range(N + 1)]
+        exact_out = binomial_diff_seq(SequenceStream.exact(terms), N).terms
+        with mp.workprec(N + 200):
+            fl = [mpf(t.numerator) / t.denominator for t in terms]
+        stream = SequenceStream(fl, "float", [mpf(2) ** -(N + 190)] * (N + 1))
+        out = binomial_diff_seq(stream, N)
+        for n in range(N + 1):
+            assert abs(exact(out.terms[n]) - exact_out[n]) <= exact(out.bounds[n])
+            assert out.bounds[n] <= mpf(2) ** -64
 
 
 class TestPowerDiffEval:

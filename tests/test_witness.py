@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from holoseq.witness import (
     bell_numbers,
     children_rounds_coefficients,
@@ -49,6 +51,26 @@ class TestWitnessLog:
         for s in d["samples"]:
             assert set(s) == {"x", "value", "reference", "deviation"}
         json.dumps(d)
+
+
+class TestDefaultGrids:
+    def test_log_nmax_below_grid(self):
+        with pytest.raises(ValueError, match="lower end of the default grid"):
+            witness_log(nmax=50)
+
+    def test_powers_nmax_below_grid(self):
+        # the default grid starts at 500: nmax = 300 would sample n up to 500
+        with pytest.raises(ValueError, match="lower end of the default grid"):
+            witness_powers(0.5, nmax=300)
+
+    def test_explicit_grid_below_default_start(self):
+        rep = witness_log(nmax=60, grid=[30, 60])
+        assert [s["x"] for s in rep.samples] == [30, 60]
+
+    def test_powers_default_grid_ends_at_nmax(self):
+        rep = witness_powers(0.5, nmax=600)
+        assert max(s["x"] for s in rep.samples) == 600
+        assert rep.params["nmax"] == 600
 
 
 class TestWitnessPowers:
