@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import __version__
 from .abelian import AlphaNegative, AsymptoticScale, transfer, verify_transfer
-from .annihilators import Recurrence, SequenceStream
+from .annihilators import Recurrence
 from .closure import binomial_diff_seq, binomial_transform_op, closure_hadamard, closure_sum
 from .formats import (
     FormatError,
@@ -21,6 +21,7 @@ from .formats import (
     fraction_to_str,
     load_bfile,
     load_operator,
+    load_stream,
     operator_to_dict,
 )
 from .guess import InsufficientTerms, guess_exact, guess_float
@@ -59,13 +60,19 @@ def _summary(payload: dict) -> str:
 def _parse_point(s: str):
     if s in ("infinity", "inf", "oo"):
         return "infinity"
+    num, sep, den = s.partition("/")
     try:
-        if "/" in s:
-            num, den = s.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
+        num, den = int(num), int(den) if sep else 1
     except ValueError:
         raise NonRationalPoint(f"point {s!r} is not rational")
+    return _ratio(num, den)
+
+
+def _ratio(num: int, den: int) -> Fraction:
+    """num/den from the command line; a zero denominator is a usage error."""
+    if den == 0:
+        raise ValueError(f"zero denominator in {num}/{den}")
+    return Fraction(num, den)
 
 
 def cmd_guess(args) -> int:
@@ -106,22 +113,13 @@ def cmd_transform(args) -> int:
         out = binomial_transform_op(rec)
         payload = {"operator": operator_to_dict(out), "order": out.order}
     else:
-        terms = _load_series_values(args.input)
-        count = args.count if args.count is not None else len(terms) - 1
-        stream = binomial_diff_seq(SequenceStream.exact(terms), count,
+        seq = load_stream(args.input)
+        count = args.count if args.count is not None else len(seq) - 1
+        stream = binomial_diff_seq(seq, count,
                                    include_zero_term=not args.from_one)
         payload = {"terms": [fraction_to_str(t) for t in stream.terms]}
     _emit(payload, args)
     return EXIT_OK
-
-
-def _load_series_values(path):
-    """b-file values aligned to index 0: a positive start index means the
-    missing leading coefficients are zero."""
-    start, terms = load_bfile(path)
-    if start < 0:
-        raise FormatError("series b-files must start at a nonnegative index")
-    return [Fraction(0)] * start + terms
 
 
 def cmd_classify(args) -> int:
@@ -151,12 +149,12 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    terms = _load_series_values(args.input)
+    seq = load_stream(args.input)
     import numpy as np
     scale = AsymptoticScale(_maybe_fraction(args.alpha),
                             _maybe_fraction(args.beta),
                             _maybe_fraction(args.gamma))
-    rep = verify_transfer(np.array([float(t) for t in terms]), scale,
+    rep = verify_transfer(np.array([float(t) for t in seq]), scale,
                           sector_angle=args.theta, kmax=args.kmax,
                           kmin=args.kmin,
                           precision_bits=args.precision_bits or 53)
@@ -198,7 +196,7 @@ def _maybe_fraction(s):
         return s
     if "/" in s:
         num, den = s.split("/")
-        return Fraction(int(num), int(den))
+        return _ratio(int(num), int(den))
     try:
         return int(s)
     except ValueError:

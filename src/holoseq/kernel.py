@@ -6,6 +6,10 @@ over Q or Q(x), and rational roots.
 form (ints, or Polys via `clear_denominators`) and reduced by fraction-free
 Bareiss elimination, so no rational-function arithmetic happens inside it.
 
+Rational roots come from p-adic lifting of the roots of the squarefree
+part s modulo a small prime to a modulus above 2 |lead(s) s(0)|, with no
+integer factoring, in time polynomial in the input size.
+
 Everything in this module is pure value semantics; no operation mutates
 its inputs.
 """
@@ -14,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -41,14 +44,6 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def const(cls, c: Rational) -> "Poly":
-        return cls([c])
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls([0, 1])
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -56,9 +51,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_const(self) -> bool:
-        return len(self.coeffs) <= 1
 
     def leading(self) -> Fraction:
         if not self.coeffs:
@@ -513,96 +505,13 @@ def _primitive(v):
 # Rational roots
 # ---------------------------------------------------------------------------
 
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # deterministic for n < 3.3e24 with these witnesses
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_brent(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    rng = random.Random(0xC0FFEE ^ n)
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def _factorize(n: int) -> dict:
-    """Prime factorization of a positive integer."""
-    factors = {}
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        d = _pollard_brent(m)
-        stack.append(d)
-        stack.append(m // d)
-    return factors
-
-
-def _divisors(n: int) -> list:
-    divs = [1]
-    for p, e in _factorize(n).items():
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return divs
-
-
 def rational_roots(p: Poly) -> list:
     """All rational roots of p, with multiplicity (each root repeated).
 
-    Rational-root test over the primitive part: candidates num/den with
-    num dividing the trailing coefficient and den dividing the leading one.
+    By p-adic lifting (Loos, SIAM J. Comput. 12(2), 1983): the roots of
+    the squarefree part s of p modulo a small prime are Newton-lifted to a
+    modulus above 2 |lead(s) s(0)|, which bounds lead(s) times any rational
+    root, so each is read back exactly; see `_lifted_candidates`.
     """
     roots, _ = rational_roots_and_cofactor(p)
     out = []
@@ -625,16 +534,7 @@ def rational_roots_and_cofactor(p: Poly):
         roots.append((Fraction(0), v))
         q = Poly(q.coeffs[v:])
     if q.degree >= 1:
-        a0 = abs(q.coeffs[0].numerator)
-        alead = abs(q.coeffs[-1].numerator)
-        cands = set()
-        for num in _divisors(a0):
-            for den in _divisors(alead):
-                cands.add(Fraction(num, den))
-                cands.add(Fraction(-num, den))
-        for r in sorted(cands):
-            if q.degree < 1:
-                break
+        for r in _lifted_candidates(q):
             mult = 0
             while q(r) == 0:
                 mult += 1
@@ -642,4 +542,51 @@ def rational_roots_and_cofactor(p: Poly):
             if mult:
                 roots.append((r, mult))
     roots.sort()
-    return roots, q.primitive() if not q.is_zero() else q
+    return roots, q.primitive()
+
+
+def _lifted_candidates(q: Poly) -> list:
+    """At most deg q rationals that include every rational root of q, for
+    q with q(0) != 0.
+
+    Let s be the primitive squarefree part of q, with leading coefficient
+    c.  A root a/b of s has b | c and a | s(0).  Take the first prime
+    p > 2 deg s that does not divide c and at which every root of s mod p
+    is simple; such a p exists, since only the divisors of c disc(s) != 0
+    fail.  Then a/b is a simple root mod p, and Newton's iteration lifts
+    it to the unique root r mod m = p^(2^k) > 2 |c s(0)|.  The integer
+    y = c a/b has |y| <= |c s(0)| < m/2, so it is the symmetric residue of
+    c r mod m, and the candidate y/c equals a/b.  The time is polynomial
+    in the size of q.
+    """
+    s = q.exact_div(poly_gcd(q, q.derivative())).primitive()
+    cs = [c.numerator for c in s.coeffs]
+    ds = [c.numerator for c in s.derivative().coeffs]
+    lead = cs[-1]
+    p = 2 * s.degree
+    while True:
+        p += 1
+        if lead % p == 0 or any(p % k == 0
+                                for k in range(2, math.isqrt(p) + 1)):
+            continue
+        rs = [r for r in range(p) if _eval_mod(cs, r, p) == 0]
+        if all(_eval_mod(ds, r, p) for r in rs):
+            break
+    m = p
+    while m <= 2 * abs(lead * cs[0]):
+        m *= m
+        rs = [(r - _eval_mod(cs, r, m) * pow(_eval_mod(ds, r, m), -1, m)) % m
+              for r in rs]
+    out = []
+    for r in rs:
+        y = lead * r % m
+        out.append(Fraction(y - m if 2 * y > m else y, lead))
+    return out
+
+
+def _eval_mod(cs, x: int, m: int) -> int:
+    """Horner evaluation of integer coefficients (ascending) mod m."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % m
+    return acc

@@ -30,14 +30,6 @@ class Series:
         return cls([], length)
 
     @classmethod
-    def one(cls, length: int) -> "Series":
-        return cls([1], length)
-
-    @classmethod
-    def x(cls, length: int) -> "Series":
-        return cls([0, 1], length)
-
-    @classmethod
     def from_poly(cls, p: Poly, length: int) -> "Series":
         return cls(p.coeffs, length)
 

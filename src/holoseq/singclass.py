@@ -138,17 +138,22 @@ def indicial_polynomial(ode: DiffOp, z0) -> Poly:
     """Lowest theta-slice of the operator at the point (polynomial in
     theta = t d/dt); its degree equals the order exactly when the point is
     ordinary or regular singular."""
-    local = local_operator(ode, z0)
+    return _indicial(local_operator(ode, z0))
+
+
+def _indicial(local: DiffOp) -> Poly:
     slices = _theta_slices(local)
-    v = min(slices)
-    return slices[v].primitive()
+    return slices[min(slices)].primitive()
 
 
 def newton_polygon(ode: DiffOp, z0) -> List[Tuple[Fraction, int]]:
     """Slopes (with horizontal lengths) of the local Newton polygon built
     on the points (m, val(a_m) - m); the slope-0 part is the regular
     (Fuchs) part, positive slopes signal exponential parts."""
-    local = local_operator(ode, z0)
+    return _newton(local_operator(ode, z0))
+
+
+def _newton(local: DiffOp) -> List[Tuple[Fraction, int]]:
     e = local.order
     pts = []
     for m in range(e + 1):
@@ -188,10 +193,9 @@ def _log_data(indicial: Poly):
     roots at integer distance only make them possible (deciding needs
     connection data no caller requires)."""
     roots, cofactor = rational_roots_and_cofactor(indicial)
-    nonrational = []
-    if cofactor.degree >= 1:
-        for fac, mult in cofactor.squarefree_decomposition():
-            nonrational.append((tuple(fac.coeffs), fac.degree * mult))
+    factors = cofactor.squarefree_decomposition()
+    nonrational = [(tuple(fac.coeffs), fac.degree * mult)
+                   for fac, mult in factors]
     bound = 0
     flag = "none"
     classes = {}
@@ -205,15 +209,14 @@ def _log_data(indicial: Poly):
             flag = "certain"
         elif len(members) >= 2 and flag != "certain":
             flag = "possible"
-    if cofactor.degree >= 1:
-        for fac, mult in cofactor.squarefree_decomposition():
-            if mult >= 2:
-                flag = "certain"
-                bound = max(bound, mult - 1)
-            elif fac.degree >= 2 and flag == "none":
-                # irrational roots at integer distance cannot be excluded
-                # without factoring; stay conservative
-                flag = "possible"
+    for fac, mult in factors:
+        if mult >= 2:
+            flag = "certain"
+            bound = max(bound, mult - 1)
+        elif fac.degree >= 2 and flag == "none":
+            # irrational roots at integer distance cannot be excluded
+            # without factoring; stay conservative
+            flag = "possible"
     return roots, nonrational, bound, flag
 
 
@@ -224,7 +227,7 @@ def classify_point(ode: DiffOp, z0) -> SingularPointReport:
     z0c = _coerce_point(z0)
     local = local_operator(ode, z0c)
     e = local.order
-    slopes = newton_polygon(ode, z0c)
+    slopes = _newton(local)
     ordinary = local.coeffs[0](Fraction(0)) != 0
     if ordinary:
         kind = "ordinary"
@@ -232,7 +235,7 @@ def classify_point(ode: DiffOp, z0) -> SingularPointReport:
         kind = "regular_singular"
     else:
         kind = "irregular"
-    indicial = indicial_polynomial(ode, z0c)
+    indicial = _indicial(local)
     roots, nonrational, bound, flag = _log_data(indicial)
     if ordinary:
         bound, flag = 0, "none"

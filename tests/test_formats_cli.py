@@ -212,6 +212,24 @@ class TestCli:
             main(["frobnicate"])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["transfer", "--alpha", "1/0"],
+        ["witness", "powers", "--alpha", "1/0"],
+    ], ids=["transfer", "witness-powers"])
+    def test_zero_denominator_alpha_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: zero denominator")
+        assert err.count("\n") == 1
+
+    def test_zero_denominator_point_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "ode.json"
+        path.write_text(json.dumps(operator_to_dict(DiffOp([P(0, 1), P(1)]))))
+        assert main(["classify", "--ode", str(path), "--point", "1/0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: zero denominator")
+        assert err.count("\n") == 1
+
     def test_cap_exhausted_exit_4(self, monkeypatch):
         monkeypatch.setenv("HOLO_PRECISION_CAP", "64")
         code = main(["witness", "log", "--nmax", "500"])

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -224,3 +225,51 @@ class TestRationalRoots:
         # (3n - 7)(n + 2^40) has roots 7/3 and -2^40
         p = P(-7, 3) * P(1 << 40, 1)
         assert sorted(rational_roots(p)) == [-(1 << 40), Fraction(7, 3)]
+
+    def test_seeded_products_known_by_construction(self):
+        # c * prod (b x - a)^m * prod g with every g free of rational roots,
+        # so the roots, multiplicities and primitive cofactor are known
+        # without running any root finder; denominators built from 2, 3, 5
+        # and 7 put those primes in the leading coefficient, so the prime
+        # search must skip them when the squarefree part has low degree
+        no_roots = [P(1, 0, 1), P(2, 0, 1), P(17, 0, 1), P(-2, 0, 1),
+                    P(-3, 0, 1), P(-7, 0, 1), P(-2, 0, 0, 1)]
+        rng = random.Random(2024)
+        for _ in range(80):
+            want = {}
+            p = P(rng.choice([1, -1, 6, 10, -42, 210]))
+            for _ in range(rng.randint(1, 4)):
+                r = Fraction(rng.randint(-40, 40),
+                             rng.choice([1, 2, 3, 5, 7, 6, 35, 210]))
+                m = rng.randint(1, 3)
+                want[r] = want.get(r, 0) + m
+                p = p * P(-r.numerator, r.denominator) ** m
+            cofactor = P(1)
+            for g in rng.choices(no_roots, k=rng.randint(0, 3)):
+                cofactor = cofactor * g
+            roots, cof = rational_roots_and_cofactor(p * cofactor)
+            assert roots == sorted(want.items())
+            assert cof == cofactor
+
+    def test_prime_search_skips_bad_primes(self):
+        # squarefree part of degree 3 with lead 1001 = 7*11*13: the search
+        # starts above 6 and must skip 7, 11 and 13
+        for a in (1, -12, 1000):
+            p = P(-a, 1001) ** 2 * P(-3, 0, 1)
+            assert rational_roots_and_cofactor(p) == (
+                [(Fraction(a, 1001), 2)], P(-3, 0, 1))
+        # (x - 1)(x - 6) has the double root 1 mod 5, so the search must
+        # skip 5
+        p = P(-1, 1) * P(-6, 1) ** 3
+        assert rational_roots_and_cofactor(p) == (
+            [(Fraction(1), 1), (Fraction(6), 3)], P(1))
+
+    def test_huge_coefficients_without_factoring(self):
+        # (x - 3)(x^2 + M61 M89), M61 and M89 Mersenne primes: enumerating
+        # the divisors of the trailing coefficient did not finish in 120 s
+        big = ((1 << 61) - 1) * ((1 << 89) - 1)
+        t0 = time.perf_counter()
+        roots, cof = rational_roots_and_cofactor(P(-3, 1) * P(big, 0, 1))
+        assert time.perf_counter() - t0 < 1.0
+        assert roots == [(Fraction(3), 1)]
+        assert cof == P(big, 0, 1)

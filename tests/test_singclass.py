@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -188,6 +189,23 @@ class TestClassifyPoint:
             for x in [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]:
                 if x not in roots:
                     assert classify_point(ode, x).kind == "ordinary"
+
+    @pytest.mark.parametrize("p, q", [
+        (2 ** 42 - 143, 2 ** 42 - 215),  # 84-bit product
+        (2 ** 46 - 63, 2 ** 46 - 77),    # 92-bit product
+    ], ids=["84-bit", "92-bit"])
+    def test_semiprime_indicial_without_factoring(self, p, q):
+        # z^2 y'' + z y' + N y at 0 has indicial theta^2 + N; with N = p q
+        # for primes p, q near 2^42 or 2^46, factoring N took over 1 s
+        N = p * q
+        ode = DiffOp([P(0, 0, 1), P(0, 1), P(N)])
+        t0 = time.perf_counter()
+        rep = classify_point(ode, 0)
+        assert time.perf_counter() - t0 < 1.0
+        assert rep.kind == "regular_singular"
+        assert rep.indicial_exponents == []
+        assert rep.nonrational_indicial == [((N, 0, 1), 2)]
+        assert (rep.log_degree_bound, rep.log_flag) == (0, "possible")
 
 
 class TestForbiddenAsymptotics:
