@@ -14,6 +14,15 @@ A ``DiffOp`` of order e stores [q_0, ..., q_e] with q_k multiplying the
     q_0(z) y^(e) + q_1(z) y^(e-1) + ... + q_e(z) y = 0.
 
 Sequences are indexed from n = 0 throughout.
+
+Both pictures meet in the Euler form, theta = z d/dz.  An operator L of
+order e is written z^e L = sum_i z^i B_i(theta), with B_i a polynomial in
+theta; `theta_slices` returns the slices {i: B_i} and `from_theta_slices`
+turns slices back into D-form through theta^a = sum_k S(a,k) z^k D^k.
+Since theta z^n = n z^n, a recurrence is the Euler form of its generating
+function's operator read at z^n.  Every change of operator picture goes
+through these two functions: `rec_to_ode`, `ode_to_rec`, and the local
+operator at infinity in `singclass`.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .kernel import Poly, poly_gcd, rational_roots_and_cofactor
+from .kernel import Poly, _primitive, poly_gcd, rational_roots_and_cofactor
 from .series import Series
 
 
@@ -116,8 +125,9 @@ class Recurrence:
 
 class DiffOp:
     """Linear differential operator with polynomial coefficients, stored
-    primitively (common polynomial factor of all coefficients removed; this
-    leaves power-series solution sets unchanged)."""
+    primitively (common polynomial factor and rational content of all
+    coefficients removed, which leaves solution sets unchanged) with a
+    positive leading coefficient of q_0."""
 
     __slots__ = ("coeffs",)
 
@@ -128,14 +138,10 @@ class DiffOp:
             qs.pop(0)
         if not qs:
             raise ValueError("differential operator needs a nonzero leading coefficient")
-        g = qs[0]
-        for p in qs[1:]:
-            g = poly_gcd(g, p)
-            if g.degree < 1:
-                break
-        if g.degree >= 1:
-            qs = [p.exact_div(g) for p in qs]
-        self.coeffs = tuple(_normalize_polys(qs))
+        qs = _primitive(qs)
+        if qs[0].leading() < 0:
+            qs = [-p for p in qs]
+        self.coeffs = tuple(qs)
 
     @property
     def order(self) -> int:
@@ -231,31 +237,48 @@ def apply(rec: Recurrence, seq, rng) -> list:
 # Recurrence <-> differential operator
 # ---------------------------------------------------------------------------
 
-def _stirling2_table(nmax: int):
-    S = [[0] * (nmax + 1) for _ in range(nmax + 1)]
-    S[0][0] = 1
-    for a in range(1, nmax + 1):
-        for k in range(1, a + 1):
-            S[a][k] = k * S[a - 1][k] + S[a - 1][k - 1]
-    return S
+def theta_slices(ode: DiffOp) -> dict:
+    """The Euler form of the operator: {i: B_i} with
+    z^e L = sum_i z^i B_i(theta), e the order and B_i a Poly in theta.
+
+    Each monomial z^j D^m is z^(j-m) theta (theta-1) ... (theta-m+1), so it
+    lands in slice i = j + e - m >= 0.  The falling factorials are
+    independent, so every slice a monomial lands in is nonzero."""
+    e = ode.order
+    slices = {}
+    ff = [Poly([1])]
+    for m in range(1, e + 1):
+        ff.append(ff[-1] * Poly([-(m - 1), 1]))  # theta (theta-1) ... (theta-m+1)
+    for m in range(e + 1):
+        am = ode.coeffs[e - m]
+        for j, c in enumerate(am.coeffs):
+            if c == 0:
+                continue
+            key = j + e - m
+            slices[key] = slices.get(key, Poly()) + ff[m] * c
+    return slices
 
 
-def _theta_to_std(theta_coeffs):
-    """Convert sum_a A_a(z) theta^a (theta = z d/dz) to standard derivative
-    form; returns list std[k] = coefficient polynomial of D^k."""
-    amax = len(theta_coeffs) - 1
-    S = _stirling2_table(amax)
-    std = [Poly() for _ in range(amax + 1)]
-    zpow = [Poly([0] * k + [1]) for k in range(amax + 1)]
-    for a, A in enumerate(theta_coeffs):
-        if A.is_zero():
-            continue
-        for k in range(a + 1):
-            if S[a][k]:
-                std[k] = std[k] + A * zpow[k] * S[a][k]
-    while len(std) > 1 and std[-1].is_zero():
-        std.pop()
-    return std
+def from_theta_slices(slices: dict) -> list:
+    """Standard form of sum_i z^i B_i(theta) for slices {i: B_i} with
+    i >= 0: the list [A_0, ..., A_r], r the largest degree of a B_i and
+    A_k the coefficient of D^k, by theta^a = sum_k S(a,k) z^k D^k (S the
+    Stirling numbers of the second kind).  The inverse of `theta_slices`
+    up to the factor z^e."""
+    amax = max(B.degree for B in slices.values())
+    top = max(slices)
+    S = [[1]]  # S[a][k] for k <= a
+    for a in range(1, amax + 1):
+        prev = S[-1] + [0]
+        S.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, a + 1)])
+    cols = [[0] * (top + k + 1) for k in range(amax + 1)]
+    for i, B in slices.items():
+        for a, b in enumerate(B.coeffs):
+            if b:
+                for k in range(a + 1):
+                    if S[a][k]:
+                        cols[k][i + k] += b * S[a][k]
+    return [Poly(c) for c in cols]
 
 
 def _compose_D(std):
@@ -274,9 +297,11 @@ def rec_to_ode(rec: Recurrence) -> DiffOp:
     """Differential operator annihilating the generating function
     sum f_n z^n of the solution fixed by the recurrence's initial terms.
 
-    The conversion passes through the Euler form theta = z d/dz; initial
-    terms induce a polynomial right-hand side which is homogenized by one
-    extra differentiation, so the order may grow by 1.
+    The recurrence is the Euler form sum_i z^i p_i(theta - (d - i)) of the
+    generating function's operator, d the order, read through
+    `from_theta_slices`; initial terms induce a polynomial right-hand side
+    which is homogenized by one extra differentiation, so the order may
+    grow by 1.
     """
     d = rec.order
     init = rec.initial_terms
@@ -285,16 +310,8 @@ def rec_to_ode(rec: Recurrence) -> DiffOp:
     if init is not None and len(init) < d:
         raise ValueError("not enough initial terms")
 
-    # theta-form: sum_i z^i p_i(theta - (d - i)) applied to f
-    maxdeg = max(p.degree for p in rec.coeffs)
-    theta_coeffs = [Poly() for _ in range(maxdeg + 1)]
-    for i, p in enumerate(rec.coeffs):
-        shifted = p.shift_arg(-(d - i))  # polynomial in theta
-        zi = Poly([0] * i + [1])
-        for a, c in enumerate(shifted.coeffs):
-            if c != 0:
-                theta_coeffs[a] = theta_coeffs[a] + zi * c
-    std = _theta_to_std(theta_coeffs)
+    std = from_theta_slices({i: p.shift_arg(i - d)
+                             for i, p in enumerate(rec.coeffs)})
 
     # right-hand side from initial terms: sum_i sum_{m<d-i} p_i(m-d+i) f_m z^{m+i}
     R = Poly()
@@ -324,33 +341,16 @@ def ode_to_rec(ode: DiffOp) -> Recurrence:
     """Recurrence satisfied by the coefficient sequence of every
     power-series solution of the operator, valid for all n >= 0.
 
-    Each monomial z^j D^m contributes, at z^n, the term
-    (n-j+1)(n-j+2)...(n-j+m) f_{n+m-j}; with zero extension of f to
-    negative indices the resulting relation holds at every integer n, which
-    justifies re-basing it so its lowest referenced index is n.
+    The operator is read in its Euler form z^e L = sum_i z^i B_i(theta):
+    as theta z^n = n z^n, the coefficient of z^N is
+    sum_i B_i(N - i) f_{N-i}.  With zero extension of f to negative
+    indices it vanishes at every integer N, which justifies re-basing the
+    relation so its lowest referenced index is n.
     """
-    e = ode.order
-    contrib = {}  # t = m - j  ->  Poly in n
-    for k, q in enumerate(ode.coeffs):
-        m = e - k
-        for j, c in enumerate(q.coeffs):
-            if c == 0:
-                continue
-            P = Poly([c])
-            for i in range(1, m + 1):
-                P = P * Poly([i - j, 1])
-            t = m - j
-            contrib[t] = contrib.get(t, Poly()) + P
-    contrib = {t: P for t, P in contrib.items() if not P.is_zero()}
-    if not contrib:
-        raise ValueError("operator reduced to zero")
-    t_min = min(contrib)
-    t_max = max(contrib)
-    coeffs = []
-    for t in range(t_max, t_min - 1, -1):  # p_0 corresponds to t_max
-        P = contrib.get(t, Poly())
-        coeffs.append(P.shift_arg(-t_min))
-    return Recurrence(coeffs).reduced()
+    slices = theta_slices(ode)
+    lo, hi = min(slices), max(slices)
+    return Recurrence([slices.get(i, Poly()).shift_arg(hi - i)
+                       for i in range(lo, hi + 1)]).reduced()
 
 
 def apply_diffop_to_series(ode: DiffOp, s: Series) -> Series:

@@ -58,20 +58,22 @@ def _shift_vectors(rec: Recurrence, K: int):
     return vecs
 
 
+def _op_key(op):
+    """(order, degree, printed size of all coefficients): the smaller
+    operator is the nicer one."""
+    return (op.order, op.degree,
+            sum(len(str(c)) for p in op.coeffs for c in p.coeffs))
+
+
 def _best_annihilator(basis, initial_terms=None) -> Recurrence:
     """Pick the nicest dependency: prefer relations that reference the
-    lowest shift (so no index re-basing happens), then smallest order,
-    degree, and coefficient size."""
-    candidates = []
-    for v in basis:
-        rec = Recurrence(list(reversed(v)), initial_terms)
-        refs_lowest = not v[0].is_zero()
-        size = sum(len(str(c)) for p in rec.coeffs for c in p.coeffs)
-        candidates.append(((not refs_lowest, rec.order, rec.degree, size), rec))
-    if not candidates:
+    lowest shift (so no index re-basing happens), then the smallest
+    `_op_key`."""
+    if not basis:
         raise ValueError("elimination produced no dependency")
-    candidates.sort(key=lambda t: t[0])
-    return candidates[0][1]
+    recs = [(v[0].is_zero(), Recurrence(list(reversed(v)), initial_terms))
+            for v in basis]
+    return min(recs, key=lambda t: (t[0], *_op_key(t[1])))[1]
 
 
 def _combined_initial_terms(a, b, m, combine):
@@ -193,16 +195,9 @@ def substitute_rational(ode: DiffOp, rho: RatFun) -> DiffOp:
         vecs.append(nxt)
     rows = [[vecs[j][i] for j in range(e + 1)] for i in range(e)]
     basis = nullspace(rows)
-    best = None
-    for v in basis:
-        op = DiffOp(list(reversed(v)))
-        size = sum(len(str(c)) for p in op.coeffs for c in p.coeffs)
-        key = (op.order, op.degree, size)
-        if best is None or key < best[0]:
-            best = (key, op)
-    if best is None:
+    if not basis:
         raise ValueError("substitution elimination failed")
-    return best[1]
+    return min((DiffOp(list(reversed(v))) for v in basis), key=_op_key)
 
 
 def multiply_by_ratfun(ode: DiffOp, r: RatFun) -> DiffOp:

@@ -182,18 +182,14 @@ _HELD_OUT = 20
 
 def _float_terms(terms):
     out = []
-    bounds = []
     for t in terms:
         if hasattr(t, "value") and hasattr(t, "bound"):  # BigReal
             out.append(mpf(t.value))
-            bounds.append(mpf(t.bound))
         elif isinstance(t, Fraction):
             out.append(mpf(t.numerator) / t.denominator)
-            bounds.append(mpf(0))
         else:
             out.append(mpf(t))
-            bounds.append(mpf(0))
-    return out, bounds
+    return out
 
 
 def _float_rows(terms, r, d, n_rows, prec):
@@ -245,7 +241,7 @@ def guess_float(terms: Sequence, max_order: int, max_degree: int,
     data."""
     p = precision_bits
     with mp.workprec(p):
-        vals, _bounds = _float_terms(terms)
+        vals = _float_terms(terms)
     _require_terms(len(vals), max_order, max_degree)
     prov = {
         "mode": "float",

@@ -16,7 +16,6 @@ its inputs.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -493,7 +492,11 @@ def _primitive(v):
     if isinstance(v[0], int):
         g = math.gcd(*v)
         return [x // g for x in v]
-    g = functools.reduce(poly_gcd, v)
+    g = Poly()
+    for p in v:
+        g = poly_gcd(g, p)
+        if g.degree == 0:
+            break
     if g.degree > 0:
         v = [p.exact_div(g) for p in v]
     # the content of the coefficient list of every entry, read as one Poly

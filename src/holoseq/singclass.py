@@ -3,8 +3,9 @@ the compatibility test between asymptotic scales and what such operators
 can produce at a singularity.
 
 Local analysis happens in the parameter t = z - z0 (t = 1/z at infinity).
-Writing the operator in the Euler form theta = t d/dt, the lowest t-slice
-is the indicial polynomial; the Newton polygon of the points
+Writing the operator in the Euler form theta = t d/dt of
+`annihilators.theta_slices`, t^e L = sum_i t^i B_i(theta), the lowest
+slice B_i is the indicial polynomial; the Newton polygon of the points
 (derivative order m, valuation of its coefficient - m) decides regularity
 and carries the ramification and degree data of any exponential part
 exp(P(Z^(-1/r))).  Local solutions at a regular singular point look like
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .annihilators import DiffOp
+from .annihilators import DiffOp, from_theta_slices, theta_slices
 from .kernel import Poly, rational_roots_and_cofactor
 
 INFINITY = "infinity"
@@ -85,53 +86,19 @@ def _coerce_point(z0):
 
 def local_operator(ode: DiffOp, z0) -> DiffOp:
     """The operator rewritten in the local parameter: t = z - z0 at a
-    finite point, t = 1/z at infinity (dz/dt handled exactly)."""
+    finite point, t = 1/z at infinity.
+
+    At infinity theta_z = -theta_t, so the Euler form
+    z^e L = sum_i z^i B_i(theta_z) becomes t^(-i) B_i(-theta_t); times
+    t^top, top the highest slice, it is sum_i t^(top-i) B_i(-theta_t)."""
     z0 = _coerce_point(z0)
-    e = ode.order
     if z0 is not INFINITY:
         return DiffOp([q.shift_arg(z0) for q in ode.coeffs])
-    # z = 1/w: D_z = -w^2 D_w, iterated
-    a = [ode.coeffs[e - m] for m in range(e + 1)]  # a_m multiplies D_z^m
-    reps = [[Poly([1])]]  # D_z^m as sum_j b_j(w) D_w^j
-    for _ in range(e):
-        prev = reps[-1]
-        nxt = [Poly() for _ in range(len(prev) + 1)]
-        w2 = Poly([0, 0, 1])
-        for j, b in enumerate(prev):
-            nxt[j] = nxt[j] - w2 * b.derivative()
-            nxt[j + 1] = nxt[j + 1] - w2 * b
-        reps.append(nxt)
-    J = max(p.degree for p in a if not p.is_zero())
-    out = [Poly() for _ in range(e + 1)]
-    for m, am in enumerate(a):
-        if am.is_zero():
-            continue
-        rev = am.reversed(J)  # w^J * a_m(1/w)
-        for j, b in enumerate(reps[m]):
-            if not b.is_zero():
-                out[j] = out[j] + rev * b
-    while len(out) > 1 and out[-1].is_zero():
-        out.pop()
-    return DiffOp(list(reversed(out)))
-
-
-def _theta_slices(local: DiffOp) -> dict:
-    """t^e L written as sum_i t^i B_i(theta); returns {i: B_i (Poly in theta)}."""
-    e = local.order
-    slices = {}
-    ff = [Poly([1])]
-    for m in range(1, e + 1):
-        ff.append(ff[-1] * Poly([-(m - 1), 1]))  # theta (theta-1) ... (theta-m+1)
-    for m in range(e + 1):
-        am = local.coeffs[e - m]
-        if am.is_zero():
-            continue
-        for i, c in enumerate(am.coeffs):
-            if c == 0:
-                continue
-            key = i + e - m
-            slices[key] = slices.get(key, Poly()) + ff[m] * c
-    return {i: B for i, B in slices.items() if not B.is_zero()}
+    slices = theta_slices(ode)
+    top = max(slices)
+    flipped = {top - i: Poly([-c if a % 2 else c for a, c in enumerate(B.coeffs)])
+               for i, B in slices.items()}
+    return DiffOp(list(reversed(from_theta_slices(flipped))))
 
 
 def indicial_polynomial(ode: DiffOp, z0) -> Poly:
@@ -142,7 +109,7 @@ def indicial_polynomial(ode: DiffOp, z0) -> Poly:
 
 
 def _indicial(local: DiffOp) -> Poly:
-    slices = _theta_slices(local)
+    slices = theta_slices(local)
     return slices[min(slices)].primitive()
 
 

@@ -25,7 +25,8 @@ from mpmath import mp, mpf
 
 from . import hpeval
 from .abelian import AsymptoticScale, verify_transfer
-from .annihilators import DiffOp
+from .annihilators import DiffOp, Recurrence, apply
+from .closure import closure_hadamard
 from .guess import guess_exact
 from .kernel import Poly
 from .primes import PrimeTable, nth_prime_grid, sieve
@@ -77,6 +78,19 @@ def _log_seq(k, prec):
         return mpmath.log(k)
 
 
+def _grid_and_precision(f, ns, target_bits: int):
+    """binomial_diff_grid(f, ns, target_bits) and the largest working
+    precision f was evaluated at, which is the precision of the report."""
+    used = 0
+
+    def recorded(k, prec):
+        nonlocal used
+        used = max(used, prec)
+        return f(k, prec)
+
+    return hpeval.binomial_diff_grid(recorded, ns, target_bits), used
+
+
 def witness_log(nmax: int = 2000, grid=None, target_bits: int = 64) -> WitnessReport:
     """Alternating binomial differences of log k against loglog n:
     d_n = transform(n) - loglog(n) must stay inside (0, 2) with small
@@ -88,7 +102,7 @@ def witness_log(nmax: int = 2000, grid=None, target_bits: int = 64) -> WitnessRe
     ns = _grid(grid, nmax, 100, range(100, nmax + 1))
     if ns[0] < 2:
         raise ValueError("grid indices need n >= 2 so loglog n is defined")
-    values = hpeval.binomial_diff_grid(_log_seq, ns, target_bits)
+    values, p = _grid_and_precision(_log_seq, ns, target_bits)
     samples = []
     for n in ns:
         v = float(values[n].value)
@@ -112,7 +126,6 @@ def witness_log(nmax: int = 2000, grid=None, target_bits: int = 64) -> WitnessRe
                                          "calibration of an O(1) estimate"},
         "spread_max": {"value": 0.5, "provenance": "derived calibration"},
     }
-    p = hpeval._alternating_precision(ns[-1], target_bits)
     return WitnessReport("log", {"nmax": nmax, "grid_size": len(ns)},
                          samples, verdicts, thresholds, p,
                          int((time.monotonic() - t0) * 1000))
@@ -153,7 +166,6 @@ def witness_powers(alpha=0.5, nmax: int = 5000, grid=None,
                     "reference": True, "deviation": 0}]
         if res.found:
             d = res.recurrence.order
-            from .annihilators import apply
             residuals = apply(res.recurrence, terms, range(100 - d))
             verdicts["certified_on_all_terms"] = all(r == 0 for r in residuals)
         return WitnessReport(
@@ -164,7 +176,7 @@ def witness_powers(alpha=0.5, nmax: int = 5000, grid=None,
             0, int((time.monotonic() - t0) * 1000))
 
     ns = _grid(grid, nmax, 500, log_grid(500, nmax, 48))
-    values = hpeval.binomial_diff_grid(hpeval.power_seq(alpha), ns, target_bits)
+    values, p = _grid_and_precision(hpeval.power_seq(alpha), ns, target_bits)
     a_frac = (Fraction(alpha) if not isinstance(alpha, float)
               else Fraction(alpha).limit_denominator(10 ** 9))
     g1a = hpeval.gamma(1 - a_frac, target_bits)
@@ -187,7 +199,6 @@ def witness_powers(alpha=0.5, nmax: int = 5000, grid=None,
                          "provenance": "derived: the estimate is "
                                        "1 + O(1/log n) with unknown constant"},
     }
-    p = hpeval._alternating_precision(ns[-1], target_bits)
     rep = WitnessReport("powers", {"alpha": float(alpha), "nmax": nmax,
                                    "branch": "fractional",
                                    "grid_size": len(ns)},
@@ -236,13 +247,10 @@ def witness_primes(nmax: int = 10 ** 6, grid_points: int = 60) -> WitnessReport:
                          int((time.monotonic() - t0) * 1000))
 
 
-def central_binomial_power_rec(k: int) -> "Recurrence":
+def central_binomial_power_rec(k: int) -> Recurrence:
     """Annihilator of binom(2n,n)^k built by iterated Hadamard closure;
     the powers are the guesser-positive specimens of the transcendence
     circle of ideas (their arithmetic nature itself is out of scope)."""
-    from .annihilators import Recurrence
-    from .closure import closure_hadamard
-    from .kernel import Poly
     base = Recurrence([Poly([1, 1]), Poly([-2, -4])], initial_terms=[1])
     rec = base
     for _ in range(k - 1):

@@ -70,3 +70,36 @@ def random_safe_rec(rng, max_order=2, max_degree=1):
         coeffs[-1] = Poly([1])
     init = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
     return Recurrence(coeffs, initial_terms=init)
+
+
+def _rand_poly(rng, maxdeg):
+    """Zero about one time in six; rational coefficients one time in three."""
+    den = rng.choice([1, 1, 2, 3, 6]) if rng.random() < 1 / 3 else 1
+    return Poly([Fraction(rng.randint(-4, 4), den)
+                 for _ in range(rng.randint(0, maxdeg + 1))])
+
+
+def random_diffop(rng):
+    """Order 0..3, degree <= 3, zero middle coefficients and rational
+    coefficients allowed; a random common factor one time in four."""
+    e = rng.randint(0, 3)
+    qs = [_rand_poly(rng, 3) for _ in range(e + 1)]
+    if qs[0].is_zero():
+        qs[0] = Poly([rng.randint(1, 3), Fraction(rng.randint(-3, 3), 2)])
+    if rng.random() < 0.25:
+        f = Poly([rng.randint(-2, 2), rng.randint(1, 2)])
+        qs = [q * f for q in qs]
+    return qs
+
+
+def random_recurrence(rng):
+    """Order 0..3 (before trimming), degree <= 3, zero middle coefficients,
+    rational coefficients and initial terms."""
+    d = rng.randint(0, 3)
+    ps = [_rand_poly(rng, 3) for _ in range(d + 1)]
+    if all(p.is_zero() for p in ps):
+        ps[0] = Poly([1, 1])
+    rec = Recurrence(ps)
+    init = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for _ in range(rec.order)]
+    return Recurrence(rec.coeffs, initial_terms=init)

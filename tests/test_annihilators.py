@@ -11,13 +11,16 @@ from holoseq.annihilators import (
     SequenceStream,
     apply,
     apply_diffop_to_series,
+    from_theta_slices,
     ode_to_rec,
     rec_to_ode,
     singular_points,
+    theta_slices,
     unroll,
 )
-from holoseq.kernel import Poly
+from holoseq.kernel import Poly, poly_gcd
 from holoseq.series import Series
+from seqlib import random_diffop, random_recurrence
 
 
 def P(*coeffs):
@@ -207,3 +210,167 @@ class TestNormalization:
         g = P(1, 1)
         rec2 = Recurrence([g * P(1), g * P(-1)])
         assert rec2.reduced().coeffs == (P(1), P(-1))
+
+
+# ---------------------------------------------------------------------------
+# Reference constructions for the Euler-form core: the routes rec_to_ode,
+# ode_to_rec and DiffOp took before they shared theta_slices,
+# from_theta_slices and kernel._primitive.  They are the oracles below.
+# ---------------------------------------------------------------------------
+
+def _ref_stirling2_table(nmax):
+    S = [[0] * (nmax + 1) for _ in range(nmax + 1)]
+    S[0][0] = 1
+    for a in range(1, nmax + 1):
+        for k in range(1, a + 1):
+            S[a][k] = k * S[a - 1][k] + S[a - 1][k - 1]
+    return S
+
+
+def _ref_theta_to_std(theta_coeffs):
+    # sum_a A_a(z) theta^a -> [coefficient of D^k], one Poly product per term
+    amax = len(theta_coeffs) - 1
+    S = _ref_stirling2_table(amax)
+    std = [Poly() for _ in range(amax + 1)]
+    zpow = [Poly([0] * k + [1]) for k in range(amax + 1)]
+    for a, A in enumerate(theta_coeffs):
+        if A.is_zero():
+            continue
+        for k in range(a + 1):
+            if S[a][k]:
+                std[k] = std[k] + A * zpow[k] * S[a][k]
+    while len(std) > 1 and std[-1].is_zero():
+        std.pop()
+    return std
+
+
+def _ref_rec_to_ode(rec):
+    d = rec.order
+    init = rec.initial_terms
+    maxdeg = max(p.degree for p in rec.coeffs)
+    theta_coeffs = [Poly() for _ in range(maxdeg + 1)]
+    for i, p in enumerate(rec.coeffs):
+        shifted = p.shift_arg(-(d - i))
+        zi = Poly([0] * i + [1])
+        for a, c in enumerate(shifted.coeffs):
+            if c != 0:
+                theta_coeffs[a] = theta_coeffs[a] + zi * c
+    std = _ref_theta_to_std(theta_coeffs)
+    R = Poly()
+    for i, p in enumerate(rec.coeffs):
+        for m in range(d - i):
+            c = p(Fraction(m - d + i)) * init[m]
+            if c != 0:
+                R = R + Poly([0] * (m + i) + [c])
+    if not R.is_zero():
+        # R' L - R (D L), with D L = sum_k (A_k' D^k + A_k D^(k+1))
+        hom = [Poly() for _ in range(len(std) + 1)]
+        for k, A in enumerate(std):
+            hom[k] = hom[k] + R.derivative() * A - R * A.derivative()
+            hom[k + 1] = hom[k + 1] - R * A
+        std = hom
+        while len(std) > 1 and std[-1].is_zero():
+            std.pop()
+    return DiffOp(list(reversed(std)))
+
+
+def _ref_ode_to_rec(ode):
+    # z^j D^m contributes (n-j+1)...(n-j+m) f_{n+m-j} at z^n
+    e = ode.order
+    contrib = {}
+    for k, q in enumerate(ode.coeffs):
+        m = e - k
+        for j, c in enumerate(q.coeffs):
+            if c == 0:
+                continue
+            P_ = Poly([c])
+            for i in range(1, m + 1):
+                P_ = P_ * Poly([i - j, 1])
+            contrib[m - j] = contrib.get(m - j, Poly()) + P_
+    contrib = {t: P_ for t, P_ in contrib.items() if not P_.is_zero()}
+    t_min, t_max = min(contrib), max(contrib)
+    return Recurrence([contrib.get(t, Poly()).shift_arg(-t_min)
+                       for t in range(t_max, t_min - 1, -1)]).reduced()
+
+
+def _ref_diffop_coeffs(qs):
+    # gcd of the coefficients, then the rational content, then the sign
+    qs = list(qs)
+    while qs and qs[0].is_zero():
+        qs.pop(0)
+    g = qs[0]
+    for p in qs[1:]:
+        g = poly_gcd(g, p)
+        if g.degree < 1:
+            break
+    if g.degree >= 1:
+        qs = [p.exact_div(g) for p in qs]
+    c = Poly([c for p in qs for c in p.coeffs]).content()
+    qs = [p * (1 / c) for p in qs]
+    if qs[0].leading() < 0:
+        qs = [-p for p in qs]
+    return tuple(qs)
+
+
+class TestEulerFormCore:
+    N_RANDOM = 240
+
+    def test_known_slices(self):
+        # z^2 y'' + z y' - y = theta^2 - 1, so z^2 L = z^2 (theta^2 - 1);
+        # y' - y: z (y' - y) = theta - z
+        assert theta_slices(DiffOp([P(0, 0, 1), P(0, 1), P(-1)])) == {2: P(-1, 0, 1)}
+        assert theta_slices(DiffOp([P(1), P(-1)])) == {0: P(0, 1), 1: P(-1)}
+        assert from_theta_slices({0: P(0, 1), 1: P(-1)}) == [P(0, -1), P(0, 1)]
+
+    def test_stirling_expansion(self):
+        # theta^3 = z D + 3 z^2 D^2 + z^3 D^3
+        assert from_theta_slices({0: P(0, 0, 0, 1)}) == [
+            Poly(), P(0, 1), P(0, 0, 3), P(0, 0, 0, 1)]
+
+    def test_round_trip_is_z_to_the_order(self):
+        rng = random.Random(71)
+        for _ in range(self.N_RANDOM):
+            ode = DiffOp(random_diffop(rng))
+            e = ode.order
+            std = from_theta_slices(theta_slices(ode))
+            ze = Poly([0] * e + [1])
+            assert std == [ze * ode.coeffs[e - k] for k in range(e + 1)]
+
+    def test_order_zero(self):
+        ode = DiffOp([P(3, 1)])
+        assert theta_slices(ode) == {0: P(1)}
+        assert ode_to_rec(ode) == _ref_ode_to_rec(ode) == Recurrence([P(1)])
+        # (n + 2) f_n = 0 is (theta + 2) y = z y' + 2 y = 0
+        rec = Recurrence([P(2, 1)], initial_terms=[])
+        assert rec_to_ode(rec) == _ref_rec_to_ode(rec) == DiffOp([P(0, 1), P(2)])
+
+    def test_rec_to_ode_matches_stirling_reference(self):
+        rng = random.Random(72)
+        orders = set()
+        for _ in range(self.N_RANDOM):
+            rec = random_recurrence(rng)
+            orders.add(rec.order)
+            assert rec_to_ode(rec).coeffs == _ref_rec_to_ode(rec).coeffs
+        assert orders == {0, 1, 2, 3}
+
+    def test_ode_to_rec_matches_product_loop_reference(self):
+        rng = random.Random(73)
+        orders = set()
+        for _ in range(self.N_RANDOM):
+            ode = DiffOp(random_diffop(rng))
+            orders.add(ode.order)
+            assert ode_to_rec(ode).coeffs == _ref_ode_to_rec(ode).coeffs
+        assert orders == {0, 1, 2, 3}
+
+    def test_middle_zero_coefficients(self):
+        # f_{n+2} - f_n with p_1 = 0, and y'' - z y with a zero D-coefficient
+        rec = Recurrence([P(1, 1), Poly(), P(-1)], initial_terms=[1, Fraction(1, 2)])
+        assert rec_to_ode(rec).coeffs == _ref_rec_to_ode(rec).coeffs
+        ode = DiffOp([P(1), Poly(), P(0, -1)])
+        assert ode_to_rec(ode).coeffs == _ref_ode_to_rec(ode).coeffs
+
+    def test_diffop_normal_form_matches_reference(self):
+        rng = random.Random(74)
+        for _ in range(self.N_RANDOM):
+            qs = random_diffop(rng)
+            assert DiffOp(qs).coeffs == _ref_diffop_coeffs(qs)

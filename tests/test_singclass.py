@@ -13,8 +13,10 @@ from holoseq.singclass import (
     classify_point,
     forbidden_asymptotics_check,
     indicial_polynomial,
+    local_operator,
     newton_polygon,
 )
+from seqlib import random_diffop
 
 
 def P(*coeffs):
@@ -239,3 +241,60 @@ class TestForbiddenAsymptotics:
         v = forbidden_asymptotics_check(rep, Scale(0, 0, 0))
         assert v.verdict == "compatible"
         assert v.matching_slot == (Fraction(-1), 0)
+
+
+def _ref_local_at_infinity(ode):
+    """z = 1/w by iterating D_z = -w^2 D_w, then w^J a_m(1/w) with J the
+    largest coefficient degree: the route local_operator took before it
+    went through the Euler form."""
+    e = ode.order
+    a = [ode.coeffs[e - m] for m in range(e + 1)]  # a_m multiplies D_z^m
+    reps = [[Poly([1])]]  # D_z^m as sum_j b_j(w) D_w^j
+    w2 = Poly([0, 0, 1])
+    for _ in range(e):
+        prev = reps[-1]
+        nxt = [Poly() for _ in range(len(prev) + 1)]
+        for j, b in enumerate(prev):
+            nxt[j] = nxt[j] - w2 * b.derivative()
+            nxt[j + 1] = nxt[j + 1] - w2 * b
+        reps.append(nxt)
+    J = max(p.degree for p in a if not p.is_zero())
+    out = [Poly() for _ in range(e + 1)]
+    for m, am in enumerate(a):
+        if am.is_zero():
+            continue
+        rev = am.reversed(J)
+        for j, b in enumerate(reps[m]):
+            out[j] = out[j] + rev * b
+    while len(out) > 1 and out[-1].is_zero():
+        out.pop()
+    return DiffOp(list(reversed(out)))
+
+
+class TestLocalOperatorAtInfinity:
+    def test_known(self):
+        # y' - y at infinity: t = 1/z, -t^2 y_t - y
+        assert local_operator(exp_op(), INFINITY) == DiffOp([P(0, 0, 1), P(1)])
+        # z^2 y'' + z y' - y is theta^2 - 1, invariant under theta -> -theta
+        assert local_operator(euler_op(), INFINITY) == euler_op()
+
+    def test_matches_iterated_reference(self):
+        rng = random.Random(81)
+        orders = set()
+        for _ in range(240):
+            ode = DiffOp(random_diffop(rng))
+            orders.add(ode.order)
+            assert local_operator(ode, INFINITY).coeffs == \
+                _ref_local_at_infinity(ode).coeffs
+        assert orders == {0, 1, 2, 3}
+
+    def test_classification_matches_reference(self):
+        # the report at infinity equals the report at 0 of the reference
+        # local operator, which is already written in t = 1/z
+        rng = random.Random(82)
+        for _ in range(200):
+            ode = DiffOp(random_diffop(rng))
+            got = classify_point(ode, INFINITY).to_dict()
+            want = classify_point(_ref_local_at_infinity(ode), 0).to_dict()
+            got.pop("location"), want.pop("location")
+            assert got == want

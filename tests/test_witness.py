@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from holoseq import hpeval
 from holoseq.witness import (
     bell_numbers,
     children_rounds_coefficients,
@@ -88,6 +89,21 @@ class TestWitnessPowers:
     def test_negative_integer_branch(self):
         rep = witness_powers(-2)
         assert rep.verdicts["holonomic_branch_recurrence_found"]
+
+    def test_precision_bits_is_the_precision_used(self, monkeypatch):
+        # n^3.5 outgrows the first estimate of 696 bits at n = 600, so the
+        # table is computed again at 702 bits, which the report must give
+        seen = []
+        tables = hpeval._f_tables
+
+        def spy(f, nmax, start, p):
+            seen.append(p)
+            return tables(f, nmax, start, p)
+
+        monkeypatch.setattr(hpeval, "_f_tables", spy)
+        rep = witness_powers(3.5, nmax=600)
+        assert seen == [696, 702]
+        assert rep.precision_bits == 702
 
 
 class TestWitnessPrimes:
