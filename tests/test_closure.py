@@ -14,6 +14,7 @@ from holoseq.annihilators import (
 )
 from holoseq.closure import (
     DegenerateSubstitution,
+    _best_annihilator,
     binomial_diff_seq,
     binomial_transform_op,
     closure_hadamard,
@@ -134,6 +135,23 @@ GOLDEN_SUBSTITUTIONS = [
      [[1, -8, 25, -40, 35, -16, 3], [-6, 43, -112, 137, -80, 18], [9, -44, 82, -64, 18],
       [-1]]),
 ]
+
+
+class TestBestAnnihilator:
+    def test_prefers_lowest_shift_then_order_then_size(self):
+        # dependencies over S^0, S^1, S^2: u_{n+1} = u_n refers to u_n;
+        # (n+1) u_{n+2} = u_{n+1} does not and would be re-based
+        lowest = [P(-1), P(1), Poly()]
+        rebased = [Poly(), P(-1), P(1, 1)]
+        order2 = [P(-1), P(0), P(1)]
+        bigger = [P(-12345), P(12344), Poly()]
+        for basis in ([rebased, lowest], [order2, lowest], [bigger, lowest]):
+            assert _best_annihilator(basis) == Recurrence([P(1), P(-1)])
+        assert _best_annihilator([rebased]) == Recurrence([P(0, 1), P(-1)])
+
+    def test_empty_basis_rejected(self):
+        with pytest.raises(ValueError):
+            _best_annihilator([])
 
 
 class TestClosureSum:
