@@ -27,7 +27,6 @@ operator at infinity in `singclass`.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -48,12 +47,7 @@ def _normalize_polys(polys):
     """Scalar normalization: divide the family by its global rational
     content and fix the sign so the first polynomial has positive leading
     coefficient.  Returns a list of Polys."""
-    allc = [c for p in polys for c in p.coeffs]
-    if not allc:
-        return list(polys)
-    den = math.lcm(*[c.denominator for c in allc])
-    num = math.gcd(*[c.numerator for c in allc])
-    content = Fraction(num, den)
+    content = Poly([c for p in polys for c in p.coeffs]).content()
     if content == 0:
         return list(polys)
     out = [p * (1 / content) for p in polys]

@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from . import __version__
 from .abelian import AlphaNegative, AsymptoticScale, transfer, verify_transfer
@@ -150,7 +153,6 @@ def cmd_transfer(args) -> int:
 
 def cmd_verify(args) -> int:
     seq = load_stream(args.input)
-    import numpy as np
     scale = AsymptoticScale(_maybe_fraction(args.alpha),
                             _maybe_fraction(args.beta),
                             _maybe_fraction(args.gamma))
@@ -200,7 +202,10 @@ def _maybe_fraction(s):
     try:
         return int(s)
     except ValueError:
-        return float(s)
+        x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"{s!r} is not a finite number")
+    return x
 
 
 def _add_common(parser: argparse.ArgumentParser, suppress: bool):
@@ -248,8 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     t = add_parser("transform",
                        help="binomial difference transform of an operator "
                             "or a term file")
-    t.add_argument("--rec", help="recurrence JSON (operator transform)")
-    t.add_argument("--input", help="b-file (term transform)")
+    source = t.add_mutually_exclusive_group(required=True)
+    source.add_argument("--rec", help="recurrence JSON (operator transform)")
+    source.add_argument("--input", help="b-file (term transform)")
     t.add_argument("--count", type=int, default=None)
     t.add_argument("--from-one", action="store_true",
                    help="start the sum at k = 1 for display parity")

@@ -3,13 +3,18 @@ recurrence solutions, the signed binomial difference transform, rational
 substitution into differential operators, and multiplication of a solution
 by a rational function.
 
-All closure operators are found by exact elimination over the rational
-function field: the shifts of a solution live in a finite-dimensional
-module over Q(n), so enough shifts of the combined object must be linearly
-dependent, and the dependency is an annihilator with a provable order
-bound.  `kernel.nullspace` returns each dependency as a primitive vector of
-polynomials, which becomes the operator's coefficient list as it is.  No
-term data is consulted.
+Every closure operator, multiplication by a rational function included,
+is found by exact elimination over a rational function field: the shifts
+of a solution (its derivatives, for an ODE) live in a finite-dimensional
+module over Q(n) (Q(w)), so enough shifts of the combined object must be
+linearly dependent, and the dependency is an annihilator with a provable
+order bound.  `_dependencies` hands the coordinate vectors to
+`kernel.nullspace`, which returns each dependency as a primitive vector of
+polynomials; that vector becomes the operator's coefficient list as it is.
+At the ODE level one chain-rule core, `_compose`, builds the operator of
+r(w) * y(rho(w)): substitution is r = 1, multiplication by a rational
+function is rho = w, and the binomial transform is one call with both.
+No term data is consulted.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Optional
 
 from . import hpeval
 from .annihilators import DiffOp, Recurrence, SequenceStream, ode_to_rec, rec_to_ode, unroll
-from .kernel import Poly, RatFun, _as_ratfun, clear_denominators, nullspace
+from .kernel import Poly, RatFun, _as_ratfun, nullspace
 
 
 class DegenerateSubstitution(Exception):
@@ -36,26 +41,28 @@ def _shift_vectors(rec: Recurrence, K: int):
         # p_0(n) u_n = 0 means u is identically zero from some point; treat
         # the module as one-dimensional with S u = u * 0
         return [[RatFun(1 if k == 0 else 0)] for k in range(K + 1)]
-    p = rec.coeffs
+    # u_{n+r} = sum_i red[i] u_{n+i}, red[i] = -p_{r-i}(n)/p_0(n)
+    p0 = RatFun(rec.coeffs[0])
+    red = [-(RatFun(rec.coeffs[r - i]) / p0) for i in range(r)]
     vecs = []
     for k in range(min(r, K + 1)):
         v = [RatFun(0)] * r
         v[k] = RatFun(1)
         vecs.append(v)
     for k in range(r, K + 1):
-        prev = vecs[-1]
-        shifted = [c.shift_arg(1) for c in prev]
-        # u_{n+r} = -sum_j p_j(n)/p_0(n) u_{n+r-j}
+        shifted = [c.shift_arg(1) for c in vecs[-1]]
         lead = shifted[r - 1]
-        v = [RatFun(0)] * r
-        for i in range(r - 1):
-            v[i + 1] = shifted[i]
+        v = [RatFun(0)] + shifted[:r - 1]
         if not lead.is_zero():
-            p0 = RatFun(p[0])
-            for j in range(1, r + 1):
-                v[r - j] = v[r - j] - lead * RatFun(p[j]) / p0
+            v = [c + lead * q for c, q in zip(v, red)]
         vecs.append(v)
     return vecs
+
+
+def _dependencies(vecs):
+    """Basis of the linear dependencies among coordinate vectors: the
+    nullspace of the matrix whose k-th column is vecs[k]."""
+    return nullspace(list(zip(*vecs)))
 
 
 def _op_key(op):
@@ -94,15 +101,7 @@ def closure_sum(a: Recurrence, b: Recurrence) -> Recurrence:
         return Recurrence([Poly([1])])
     va = _shift_vectors(a, m)
     vb = _shift_vectors(b, m)
-    dim_a = len(va[0])
-    dim_b = len(vb[0])
-    rows = []
-    for i in range(dim_a + dim_b):
-        row = []
-        for k in range(m + 1):
-            row.append(va[k][i] if i < dim_a else vb[k][i - dim_a])
-        rows.append(row)
-    basis = nullspace(rows)
+    basis = _dependencies([va[k] + vb[k] for k in range(m + 1)])
     init = _combined_initial_terms(a, b, m, lambda x, y: x + y)
     return _best_annihilator(basis, init)
 
@@ -114,16 +113,8 @@ def closure_hadamard(a: Recurrence, b: Recurrence) -> Recurrence:
     m = r1 * r2
     va = _shift_vectors(a, m)
     vb = _shift_vectors(b, m)
-    dim_a = len(va[0])
-    dim_b = len(vb[0])
-    rows = []
-    for i in range(dim_a):
-        for j in range(dim_b):
-            row = []
-            for k in range(m + 1):
-                row.append(va[k][i] * vb[k][j])
-            rows.append(row)
-    basis = nullspace(rows)
+    basis = _dependencies([[x * y for x in va[k] for y in vb[k]]
+                           for k in range(m + 1)])
     init = _combined_initial_terms(a, b, m, lambda x, y: x * y)
     return _best_annihilator(basis, init)
 
@@ -142,6 +133,8 @@ def binomial_diff_seq(seq, N: int, include_zero_term: bool = True,
     exact results; float streams are evaluated through the high-precision
     path with propagated bounds.
     """
+    if N < 0:
+        raise ValueError(f"transform index {N} is negative")
     stream = seq if isinstance(seq, SequenceStream) else SequenceStream.exact(seq)
     if len(stream) <= N:
         raise ValueError("sequence not defined through the requested index")
@@ -163,26 +156,27 @@ def binomial_diff_seq(seq, N: int, include_zero_term: bool = True,
 # Rational substitution and rational multiplication at the ODE level
 # ---------------------------------------------------------------------------
 
-def substitute_rational(ode: DiffOp, rho: RatFun) -> DiffOp:
-    """Operator annihilating y(rho(w)) for every solution y of the given
-    operator; chain rule followed by elimination over Q(w)."""
-    if not isinstance(rho, RatFun):
-        rho = RatFun(rho)
+def _compose(ode: DiffOp, rho: RatFun, r: RatFun) -> DiffOp:
+    """Operator of order e = order(ode) annihilating r(w) * y(rho(w)) for
+    every solution y of the given operator.
+
+    With g_i = y^(i) o rho, the chain rule gives (c g_i)' = c' g_i +
+    c rho' g_{i+1}, and g_e reduces against the operator evaluated at
+    rho(w).  So h = r g_0 and its derivatives are vectors over g_0..g_{e-1}
+    with entries in Q(w).  The e functions r * (y o rho) are independent,
+    so h, ..., h^(e-1) are too, and h, ..., h^(e) have exactly one
+    dependency: the annihilator."""
     drho = rho.derivative()
     if drho.is_zero():
         raise DegenerateSubstitution("substitution has zero derivative")
+    if r.is_zero():
+        raise ValueError("multiplication by the zero function")
     e = ode.order
     if e == 0:
         return DiffOp([Poly([1])])
-    # reduction of g_e = y^(e) o rho against the operator at rho(w)
     q_at = [_as_ratfun(q(rho)) for q in ode.coeffs]
-    q0 = q_at[0]
-    red = [-(q_at[e - i] / q0) for i in range(e)]  # coefficient of g_i
-    # h^(j) as vectors over basis g_0..g_{e-1}
-    vecs = []
-    h = [RatFun(0)] * e
-    h[0] = RatFun(1)
-    vecs.append(h)
+    red = [-(q_at[e - i] / q_at[0]) for i in range(e)]  # g_e = sum red[i] g_i
+    vecs = [[r] + [RatFun(0)] * (e - 1)]
     for _ in range(e):
         prev = vecs[-1]
         nxt = [c.derivative() for c in prev]
@@ -190,51 +184,36 @@ def substitute_rational(ode: DiffOp, rho: RatFun) -> DiffOp:
             nxt[i + 1] = nxt[i + 1] + prev[i] * drho
         top = prev[e - 1] * drho
         if not top.is_zero():
-            for i in range(e):
-                nxt[i] = nxt[i] + top * red[i]
+            nxt = [c + top * q for c, q in zip(nxt, red)]
         vecs.append(nxt)
-    rows = [[vecs[j][i] for j in range(e + 1)] for i in range(e)]
-    basis = nullspace(rows)
-    if not basis:
-        raise ValueError("substitution elimination failed")
-    return min((DiffOp(list(reversed(v))) for v in basis), key=_op_key)
+    (v,) = _dependencies(vecs)
+    return DiffOp(list(reversed(v)))
+
+
+def substitute_rational(ode: DiffOp, rho: RatFun) -> DiffOp:
+    """Operator annihilating y(rho(w)) for every solution y of the given
+    operator."""
+    if not isinstance(rho, RatFun):
+        rho = RatFun(rho)
+    return _compose(ode, rho, RatFun(1))
 
 
 def multiply_by_ratfun(ode: DiffOp, r: RatFun) -> DiffOp:
     """Operator annihilating r(w) * y(w) for every solution y."""
     if not isinstance(r, RatFun):
         r = RatFun(r)
-    if r.is_zero():
-        raise ValueError("multiplication by the zero function")
-    e = ode.order
-    s = RatFun(1) / r
-    s_derivs = [s]
-    for _ in range(e):
-        s_derivs.append(s_derivs[-1].derivative())
-    # y = s*u; y^(k) = sum_j C(k,j) s^(j) u^(k-j)
-    out = [RatFun(0)] * (e + 1)  # coefficient of u^(i)
-    for k in range(e + 1):
-        a = RatFun(ode.coeffs[e - k])
-        if a.is_zero():
-            continue
-        binom = 1
-        for j in range(k + 1):
-            out[k - j] = out[k - j] + a * s_derivs[j] * binom
-            binom = binom * (k - j) // (j + 1)
-    return DiffOp(list(reversed(clear_denominators(out))))
+    return _compose(ode, RatFun(Poly([0, 1])), r)
 
 
 def binomial_transform_op(rec: Recurrence) -> Recurrence:
     """Recurrence annihilating the binomial difference transform of the
     sequence fixed by `rec` and its initial terms.
 
-    Realized at the generating-function level: substitute
-    z -> -w/(1-w) into the annihilator of f, multiply by 1/(1-w), and
-    convert back to a recurrence."""
+    Realized at the generating-function level: G(w) = 1/(1-w) F(-w/(1-w)),
+    one `_compose` of the annihilator of F, converted back to a
+    recurrence."""
     if rec.initial_terms is None:
         raise ValueError("binomial_transform_op needs initial terms")
-    ode = rec_to_ode(rec)
-    rho = RatFun(Poly([0, -1]), Poly([1, -1]))
-    sub = substitute_rational(ode, rho)
-    mult = multiply_by_ratfun(sub, RatFun(Poly([1]), Poly([1, -1])))
-    return ode_to_rec(mult)
+    one_minus_w = Poly([1, -1])
+    return ode_to_rec(_compose(rec_to_ode(rec), RatFun(Poly([0, -1]), one_minus_w),
+                               RatFun(Poly([1]), one_minus_w)))

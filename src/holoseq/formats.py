@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 from typing import List, Tuple, Union
 
-from .annihilators import DiffOp, Recurrence
+from .annihilators import DiffOp, Recurrence, SequenceStream
 from .kernel import Poly
 
 
@@ -115,10 +115,9 @@ def load_bfile(path: str) -> Tuple[int, List[Fraction]]:
         return parse_bfile(f.read())
 
 
-def load_stream(path: str) -> "SequenceStream":
+def load_stream(path: str) -> SequenceStream:
     """b-file as an exact SequenceStream, aligned to index 0 (a positive
     start index contributes leading zeros)."""
-    from .annihilators import SequenceStream
     start, values = load_bfile(path)
     if start < 0:
         raise FormatError("streams need a nonnegative start index")

@@ -39,6 +39,9 @@ class GuessResult:
 
 
 def _require_terms(n_terms: int, max_order: int, max_degree: int):
+    if max_order < 0 or max_degree < 0:
+        raise ValueError(f"empty search box ({max_order},{max_degree}): "
+                         "order and degree bounds must be nonnegative")
     need = (max_order + 1) * (max_degree + 1) + 20
     if n_terms < need:
         raise InsufficientTerms(

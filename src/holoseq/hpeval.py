@@ -89,9 +89,6 @@ class BigReal:
             v = mpc(x) if isinstance(x, (complex, mpc)) else mpf(x)
             return cls(v, 0)
 
-    def is_complex(self) -> bool:
-        return isinstance(self.value, (mpc, complex))
-
     def __add__(self, other):
         other = _coerce(other)
         v = self.value + other.value

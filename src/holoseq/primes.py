@@ -95,10 +95,6 @@ class PrimeTable:
     def primes(self) -> np.ndarray:
         return self._primes
 
-    @property
-    def limit(self) -> int:
-        return self._limit
-
 
 _table = PrimeTable()
 

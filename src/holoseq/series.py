@@ -1,8 +1,8 @@
 """Truncated power series with exact rational coefficients.
 
 Used for certifying operator constructions at the generating-function
-level: series composition, reciprocal, exponential, and applying a linear
-differential operator to a truncation.
+level: series composition, exponential, and applying a linear differential
+operator to a truncation.
 """
 
 from __future__ import annotations
@@ -66,19 +66,6 @@ class Series:
         # one coefficient of information is lost at the tail
         return Series([i * c for i, c in enumerate(self.coeffs)][1:],
                       self.length - 1)
-
-    def reciprocal(self) -> "Series":
-        if self.coeffs[0] == 0:
-            raise ZeroDivisionError("series reciprocal needs nonzero constant term")
-        inv0 = 1 / self.coeffs[0]
-        out = [inv0]
-        for n in range(1, self.length):
-            s = Fraction(0)
-            for k in range(1, n + 1):
-                if self.coeffs[k] != 0:
-                    s += self.coeffs[k] * out[n - k]
-            out.append(-inv0 * s)
-        return Series(out, self.length)
 
     def compose(self, inner: "Series") -> "Series":
         """self(inner(x)); inner must have zero constant term."""

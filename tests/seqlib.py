@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 from holoseq.annihilators import Recurrence
-from holoseq.kernel import Poly
+from holoseq.kernel import Poly, RatFun
 
 
 def P(*coeffs):
@@ -103,3 +103,37 @@ def random_recurrence(rng):
     init = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
             for _ in range(rec.order)]
     return Recurrence(rec.coeffs, initial_terms=init)
+
+
+def random_ratfun(rng, maxdeg=2, nonconstant=False, pole=False):
+    """Nonzero rational function of numerator and denominator degree <=
+    maxdeg; `nonconstant` forces a nonzero derivative, `pole` a
+    nonconstant denominator."""
+    while True:
+        num = _rand_poly(rng, maxdeg)
+        den = _rand_poly(rng, maxdeg)
+        if num.is_zero() or den.is_zero():
+            continue
+        f = RatFun(num, den)
+        if nonconstant and f.derivative().is_zero():
+            continue
+        if pole and f.den.degree == 0:
+            continue
+        return f
+
+
+def full_degree_rec(rng, order):
+    """Order-`order` recurrence shaped like the benchmark's exact-algebra
+    inputs: every coefficient of full degree (2 at order 1, else 1), the
+    leading one with positive coefficients."""
+    degree = 2 if order == 1 else 1
+
+    def poly(lead):
+        c = [rng.randint(1, 3) if lead else rng.randint(-3, 3)
+             for _ in range(degree + 1)]
+        if c[-1] == 0:
+            c[-1] = rng.choice((-1, 1))
+        return Poly(c)
+    init = [Fraction(rng.randint(-3, 3)) for _ in range(order)]
+    return Recurrence([poly(True)] + [poly(False) for _ in range(order)],
+                      initial_terms=init)

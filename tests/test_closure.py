@@ -10,11 +10,15 @@ from holoseq.annihilators import (
     SequenceStream,
     apply,
     apply_diffop_to_series,
+    ode_to_rec,
+    rec_to_ode,
     unroll,
 )
+from holoseq import closure
 from holoseq.closure import (
     DegenerateSubstitution,
     _best_annihilator,
+    _op_key,
     binomial_diff_seq,
     binomial_transform_op,
     closure_hadamard,
@@ -22,8 +26,9 @@ from holoseq.closure import (
     multiply_by_ratfun,
     substitute_rational,
 )
-from holoseq.kernel import Poly, RatFun
+from holoseq.kernel import Poly, RatFun, _as_ratfun, clear_denominators, nullspace
 from holoseq.series import Series, geometric
+from seqlib import full_degree_rec, random_diffop, random_ratfun
 
 
 def P(*coeffs):
@@ -390,3 +395,125 @@ class TestGoldenOperators:
         rho = RatFun(P(0, -1), P(1, -1))  # -w/(1-w)
         sub = substitute_rational(DiffOp([Poly(c) for c in ode]), rho)
         assert _coeff_lists(sub) == want
+
+
+# Reference implementations of the ODE-level closures as they stood before
+# the one chain-rule core: substitution selecting among all nullspace
+# vectors, multiplication by the Leibniz formula, and the transform as
+# substitution followed by multiplication.
+
+def _ref_substitute_rational(ode, rho):
+    drho = rho.derivative()
+    if drho.is_zero():
+        raise DegenerateSubstitution("substitution has zero derivative")
+    e = ode.order
+    if e == 0:
+        return DiffOp([Poly([1])])
+    q_at = [_as_ratfun(q(rho)) for q in ode.coeffs]
+    q0 = q_at[0]
+    red = [-(q_at[e - i] / q0) for i in range(e)]
+    vecs = [[RatFun(1)] + [RatFun(0)] * (e - 1)]
+    for _ in range(e):
+        prev = vecs[-1]
+        nxt = [c.derivative() for c in prev]
+        for i in range(e - 1):
+            nxt[i + 1] = nxt[i + 1] + prev[i] * drho
+        top = prev[e - 1] * drho
+        if not top.is_zero():
+            for i in range(e):
+                nxt[i] = nxt[i] + top * red[i]
+        vecs.append(nxt)
+    basis = nullspace([[vecs[j][i] for j in range(e + 1)] for i in range(e)])
+    return min((DiffOp(list(reversed(v))) for v in basis), key=_op_key)
+
+
+def _ref_multiply_by_ratfun(ode, r):
+    e = ode.order
+    s = RatFun(1) / r
+    s_derivs = [s]
+    for _ in range(e):
+        s_derivs.append(s_derivs[-1].derivative())
+    # y = s*u; y^(k) = sum_j C(k,j) s^(j) u^(k-j)
+    out = [RatFun(0)] * (e + 1)
+    for k in range(e + 1):
+        a = RatFun(ode.coeffs[e - k])
+        if a.is_zero():
+            continue
+        for j in range(k + 1):
+            out[k - j] = out[k - j] + a * s_derivs[j] * math.comb(k, j)
+    return DiffOp(list(reversed(clear_denominators(out))))
+
+
+def _ref_binomial_transform_op(rec):
+    rho = RatFun(P(0, -1), P(1, -1))
+    sub = _ref_substitute_rational(rec_to_ode(rec), rho)
+    return ode_to_rec(_ref_multiply_by_ratfun(sub, RatFun(P(1), P(1, -1))))
+
+
+class TestComposeCore:
+    """`_compose` against the reference constructions on seeded random
+    inputs; `_dependencies` must see exactly one dependency every time."""
+
+    N_RANDOM = 200
+
+    @pytest.fixture
+    def nullities(self, monkeypatch):
+        """Sizes of the bases `_compose` sees, recorded by a spy; the
+        `(v,) =` unpack would raise on any other size than 1."""
+        counts = []
+        real = closure._dependencies
+
+        def spy(vecs):
+            basis = real(vecs)
+            counts.append(len(basis))
+            return basis
+        monkeypatch.setattr(closure, "_dependencies", spy)
+        return counts
+
+    def test_substitution_matches_reference(self, nullities):
+        rng = random.Random(81)
+        orders = set()
+        for _ in range(self.N_RANDOM):
+            ode = DiffOp(random_diffop(rng))
+            rho = random_ratfun(rng, nonconstant=True)
+            orders.add(ode.order)
+            assert substitute_rational(ode, rho).coeffs == \
+                _ref_substitute_rational(ode, rho).coeffs
+        assert orders == {0, 1, 2, 3}
+        assert len(nullities) > 100 and set(nullities) == {1}
+
+    def test_multiplication_matches_leibniz_reference(self, nullities):
+        rng = random.Random(82)
+        orders = set()
+        for _ in range(self.N_RANDOM):
+            ode = DiffOp(random_diffop(rng))
+            r = random_ratfun(rng, pole=True)
+            orders.add(ode.order)
+            assert multiply_by_ratfun(ode, r).coeffs == \
+                _ref_multiply_by_ratfun(ode, r).coeffs
+        assert orders == {0, 1, 2, 3}
+        assert len(nullities) > 100 and set(nullities) == {1}
+
+    def test_transform_matches_two_stage_reference(self, nullities):
+        rng = random.Random(83)
+        for i in range(self.N_RANDOM):
+            rec = full_degree_rec(rng, 1 + i % 3)
+            assert binomial_transform_op(rec).coeffs == \
+                _ref_binomial_transform_op(rec).coeffs
+        assert nullities == [1] * self.N_RANDOM
+
+    def test_composition_of_both(self, nullities):
+        # r * (y o rho) with nonconstant rho and r with poles at once
+        rng = random.Random(84)
+        for _ in range(50):
+            ode = DiffOp(random_diffop(rng))
+            rho = random_ratfun(rng, nonconstant=True)
+            r = random_ratfun(rng, pole=True)
+            want = _ref_multiply_by_ratfun(_ref_substitute_rational(ode, rho), r)
+            assert closure._compose(ode, rho, r).coeffs == want.coeffs
+        assert set(nullities) == {1}
+
+    @pytest.mark.parametrize("ode", [[P(1), P(-1)], [P(2, 1)]], ids=["order1", "order0"])
+    def test_zero_multiplier_rejected(self, ode):
+        with pytest.raises(ValueError, match="zero function"):
+            multiply_by_ratfun(DiffOp(ode), RatFun(0))

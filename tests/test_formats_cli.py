@@ -230,6 +230,39 @@ class TestCli:
         assert err.startswith("usage error: zero denominator")
         assert err.count("\n") == 1
 
+    def test_guess_negative_box_exit_2(self, tmp_path, capsys):
+        bf = write(tmp_path / "ones.bfile",
+                   "\n".join(f"{n} 1" for n in range(40)) + "\n")
+        assert main(["guess", "--input", bf, "--max-order", "-1"]) == 2
+        assert "nonnegative" in capsys.readouterr().err
+
+    def test_transform_negative_count_exit_2(self, tmp_path, capsys):
+        bf = write(tmp_path / "ones.bfile",
+                   "\n".join(f"{n} 1" for n in range(10)) + "\n")
+        assert main(["transform", "--input", bf, "--count", "-2"]) == 2
+        assert capsys.readouterr().err.startswith("usage error: transform index -2")
+
+    @pytest.mark.parametrize("argv", [
+        ["transform"],
+        ["transform", "--rec", "r.json", "--input", "f.bfile"],
+    ], ids=["neither", "both"])
+    def test_transform_needs_one_source(self, argv, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert "--rec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, value", [
+        (["witness", "powers", "--alpha", "inf"], "'inf'"),
+        (["transfer", "--alpha", "nan"], "'nan'"),
+        (["transfer", "--beta", "1e400"], "'1e400'"),
+    ], ids=["witness-inf", "transfer-nan", "transfer-overflow"])
+    def test_non_finite_value_exit_2(self, argv, value, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and value in err
+        assert "not a finite number" in err
+
     def test_cap_exhausted_exit_4(self, monkeypatch):
         monkeypatch.setenv("HOLO_PRECISION_CAP", "64")
         code = main(["witness", "log", "--nmax", "500"])

@@ -54,6 +54,15 @@ class TestGuessExact:
         with pytest.raises(InsufficientTerms):
             guess_exact([1] * 30, 4, 4)
 
+    @pytest.mark.parametrize("box", [(-1, 2), (1, -1), (-1, -1)])
+    def test_negative_box_rejected(self, box):
+        # an empty box is a usage error, not a NotFound over nothing
+        terms = catalan_terms(60)
+        with pytest.raises(ValueError, match="nonnegative"):
+            guess_exact(terms, *box)
+        with pytest.raises(ValueError, match="nonnegative"):
+            guess_float(terms, *box, residual_tol=1e-20)
+
     def test_soundness_certificate(self):
         terms = catalan_terms(40)
         res = guess_exact(terms, 2, 2)
