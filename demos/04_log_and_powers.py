@@ -13,22 +13,15 @@ evaluation runs at n + g + 2 log2 n bits with explicit error bounds.
 
 import math
 
-import mpmath
-from mpmath import mp
-
-from holoseq import binomial_diff_eval, gamma, power_diff_eval
+from holoseq import binomial_diff_eval, gamma, log_seq, power_diff_eval
 from holoseq.witness import witness_log, witness_powers
-
-
-def log_seq(k, prec):
-    with mp.workprec(prec):
-        return mpmath.log(k)
 
 
 print("transform of log k versus loglog n:")
 print("   n      transform        loglog n    difference")
+log = log_seq()  # log k built from the primes, one table per precision
 for n in [100, 400, 1600]:
-    v = binomial_diff_eval(log_seq, n, 64)
+    v = binomial_diff_eval(log, n, 64)
     ll = math.log(math.log(n))
     print(f"{n:6d}  {float(v.value):14.9f}  {ll:10.6f}  {float(v.value)-ll:10.6f}")
 print("the difference hugs Euler's constant 0.5772...; boundedness is the")

@@ -12,14 +12,8 @@ error bound 2^(n-p) (1/2 + 16 max|f|), known before the sweep starts.
 import math
 
 import mpmath
-from mpmath import mp
 
-from holoseq import binomial_diff_eval, gamma, lambert_w
-
-
-def log_seq(k, prec):
-    with mp.workprec(prec):
-        return mpmath.log(k)
+from holoseq import binomial_diff_eval, gamma, lambert_w, log_seq
 
 
 n = 200
@@ -29,13 +23,13 @@ noise = sum(math.comb(n, k) * (-1) ** k * math.log(k) for k in range(1, n + 1))
 print(f"float64 'value' at n = {n}: {noise:.6g}   (garbage)")
 print(f"largest term: ~{math.comb(n, n // 2) * math.log(n):.3g}")
 
-r = binomial_diff_eval(log_seq, n, 64)
+r = binomial_diff_eval(log_seq(), n, 64)
 print(f"\ncontrolled value:  {float(r.value):.12f}")
 print(f"claimed bound:      2^{r.log2_bound():.0f}")
 print(f"loglog {n} =        {math.log(math.log(n)):.12f}")
 
 # the operational check of the error model: recompute with 64 extra bits
-r2 = binomial_diff_eval(log_seq, n, 128)
+r2 = binomial_diff_eval(log_seq(), n, 128)
 print(f"\n+64-bit recompute agrees within bounds: {r.agrees_with(r2)}")
 print(f"actual shift: {abs(float(r.value - r2.value)):.3g}")
 

@@ -38,6 +38,7 @@ from .hpeval import (
     gamma,
     harmonic,
     lambert_w,
+    log_seq,
     power_diff_eval,
 )
 from .singclass import (
@@ -60,7 +61,7 @@ __all__ = [
     "binomial_transform_op", "substitute_rational", "DegenerateSubstitution",
     "guess_exact", "guess_float", "GuessResult", "InsufficientTerms",
     "BigReal", "PrecisionExhausted", "PoleAtNonpositiveInteger",
-    "binomial_diff_eval", "power_diff_eval", "gamma", "lambert_w", "harmonic",
+    "binomial_diff_eval", "power_diff_eval", "log_seq", "gamma", "lambert_w", "harmonic",
     "classify_point", "indicial_polynomial", "newton_polygon",
     "forbidden_asymptotics_check", "SingularPointReport", "NonRationalPoint",
     "AsymptoticScale", "SingularElement", "transfer", "verify_transfer",

@@ -83,7 +83,7 @@ def cmd_guess(args) -> int:
     if args.float:
         res = guess_float(terms, args.max_order, args.max_degree,
                           residual_tol=args.tol,
-                          precision_bits=args.precision_bits or 192)
+                          precision_bits=_given(args.precision_bits, 192))
     else:
         res = guess_exact(terms, args.max_order, args.max_degree)
     res.provenance["index_offset"] = start
@@ -138,7 +138,7 @@ def cmd_transfer(args) -> int:
     scale = AsymptoticScale(_maybe_fraction(args.alpha),
                             _maybe_fraction(args.beta),
                             _maybe_fraction(args.gamma))
-    el = transfer(scale, bits=args.precision_bits or 64)
+    el = transfer(scale, bits=_given(args.precision_bits, 64))
     payload = {
         "scale": scale.describe(),
         "singular_element": el.describe(),
@@ -159,7 +159,7 @@ def cmd_verify(args) -> int:
     rep = verify_transfer(np.array([float(t) for t in seq]), scale,
                           sector_angle=args.theta, kmax=args.kmax,
                           kmin=args.kmin,
-                          precision_bits=args.precision_bits or 53)
+                          precision_bits=_given(args.precision_bits, 53))
     _emit(rep.to_dict(), args)
     return EXIT_OK
 
@@ -170,7 +170,7 @@ def cmd_primes(args) -> int:
     elif args.what == "pi":
         payload = {"x": args.value, "prime_pi": prime_pi(args.value)}
     else:
-        r = li(args.value, bits=args.precision_bits or 64)
+        r = li(args.value, bits=_given(args.precision_bits, 64))
         payload = {"x": args.value, "li": float(r.value),
                    "bound": float(r.bound)}
     _emit(payload, args)
@@ -179,16 +179,33 @@ def cmd_primes(args) -> int:
 
 def cmd_witness(args) -> int:
     if args.experiment == "log":
-        rep = witness_log(nmax=args.nmax or 2000)
+        rep = witness_log(nmax=_given(args.nmax, 2000))
     elif args.experiment == "powers":
-        rep = witness_powers(alpha=_maybe_fraction(args.alpha) if args.alpha
-                             else 0.5, nmax=args.nmax or 5000)
+        rep = witness_powers(alpha=_maybe_fraction(_given(args.alpha, 0.5)),
+                             nmax=_given(args.nmax, 5000))
     elif args.experiment == "primes":
-        rep = witness_primes(nmax=args.nmax or 10 ** 6)
+        rep = witness_primes(nmax=_given(args.nmax, 10 ** 6))
     else:
         rep = witness_misc()
     _emit(rep.to_dict(), args)
     return EXIT_OK
+
+
+def _given(value, default):
+    """An option's value, or `default` when it was not given."""
+    return default if value is None else value
+
+
+def _positive_int(s: str) -> int:
+    """argparse type of --nmax and --precision-bits: a nonpositive value is
+    a usage error, not the default."""
+    try:
+        value = int(s)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{s!r} is not a positive integer")
+    return value
 
 
 def _maybe_fraction(s):
@@ -218,7 +235,7 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool):
                         help="machine-readable output on stdout")
     parser.add_argument("--out", default=d(None),
                         help="write the JSON payload to a file")
-    parser.add_argument("--precision-bits", type=int, default=d(None))
+    parser.add_argument("--precision-bits", type=_positive_int, default=d(None))
     parser.add_argument("--tol", type=float, default=d(1e-10))
 
 
@@ -289,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = add_parser("witness", help="run a witness experiment")
     w.add_argument("experiment", choices=["log", "powers", "primes", "misc"])
-    w.add_argument("--nmax", type=int, default=None)
+    w.add_argument("--nmax", type=_positive_int, default=None)
     w.add_argument("--alpha", default=None)
     w.set_defaults(func=cmd_witness)
     return p

@@ -15,6 +15,20 @@ Rice's integrals", TCS 144, 1995).  Each F_k is within 1/2 + 16 M_n of
 most 2^(n-p) (1/2 + 16 M_n): the bound is known before the sweep, and no
 retry is needed.
 
+The f-tables of the log and power witnesses are built from the primes
+(`log_seq`, `power_seq`): log k is additive and k^alpha multiplicative, so
+a composite k = q m is the sum L_q + L_m, or one rounded product, of two
+entries already in the table.  Only a prime takes real work:
+log p = log(p-1) + 2 atanh(1/(2p-1)), an integer series (Brent and
+Zimmermann, "Modern Computer Arithmetic", 4.9), and p^alpha is one
+exp(alpha log p), or floor(2^w sqrt p) for alpha = 1/2.  Every entry
+carries an integer count of its error in units of 2^-w, the working
+precision w = prec + guard.  In the log table a prime adds 1 to the count
+of p - 1 and a composite sums its factors' counts, so log k is within
+2 log2 k units; the guard is derived from the counts, and every value
+returned is within 2^(1-prec) relative, inside the 2^(4-prec) that
+`binomial_diff_grid` asks of f.
+
 Values are carried as ``BigReal``: a midpoint plus an absolute error
 bound.  Outside the alternating sums, bounds are propagated conservatively
 (midpoint arithmetic with doubled ulp slop, not directed rounding); the
@@ -32,7 +46,9 @@ from typing import Callable, Iterable, Union
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, round_up
+from mpmath.libmp import (fone, from_man_exp, fzero, mpc_exp, mpc_mul, mpc_pos,
+                          mpf_exp, mpf_mul, mpf_pos, round_nearest, round_up,
+                          to_rational)
 
 DEFAULT_PRECISION_CAP = 1 << 18  # bits
 
@@ -362,34 +378,196 @@ def degenerate_power(alpha) -> bool:
     return float(alpha) == int(alpha)
 
 
-def power_seq(alpha) -> Callable:
-    """f(k, prec) = k^alpha = exp(alpha log k) within the relative error
-    2^(4-prec) of the alternating-sum contract, for real, complex or
-    rational alpha.
+# ---------------------------------------------------------------------------
+# log k and k^alpha from the primes
+# ---------------------------------------------------------------------------
 
-    alpha log k is formed with 16 guard bits: exp turns the absolute
-    rounding error of its argument into a relative error of the result,
-    about |alpha log k| 2^-prec.  Rational alpha is converted at that
-    precision, not through float; alpha = 1/2 takes the correctly rounded
-    square root."""
-    if alpha == 0.5:
-        def f(k, prec):
-            with mp.workprec(prec):
-                return mpmath.sqrt(k)
-        return f
+def _atanh_inv(x: int, w: int) -> int:
+    """2 atanh(1/x) 2^w rounded to an integer within 1, for an integer
+    x >= 3 and w >= 5.
+
+    The series sum_j x^-(2j+1)/(2j+1) is summed in integers at w + s bits.
+    Each term floor(2^(w+s) / ((2j+1) x^(2j+1))) is exact, since nested
+    floors of positive integers compose, so the n + 1 terms and the tail
+    after them fall short by less than n + 2 units; x^2 >= 9 makes
+    n <= (w + s)/3 + 1 and 2 (n + 2) <= 2^(s-1).  Doubling and rounding
+    away the s extra bits leaves an error below 1/2 + 1/2."""
+    s = w.bit_length() + 2
+    t = (1 << (w + s)) // x
+    x2 = x * x
+    total = t
+    j = 3
+    while t:
+        t //= x2
+        total += t // j
+        j += 2
+    return (total + (1 << (s - 2))) >> (s - 1)
+
+
+def _least_factor(n: int, primes: list):
+    """The smallest prime factor of a composite n, None for a prime;
+    `primes` holds every prime below n in increasing order."""
+    for q in primes:
+        if q * q > n:
+            return None
+        if n % q == 0:
+            return q
+    return None
+
+
+class _Table:
+    """Entries of a completely additive or multiplicative function of
+    k >= 1, each a value at w = prec + guard bits with an integer error
+    count in units of 2^-w, filled in increasing k.  A composite k = q m,
+    with q its smallest prime factor, gets `_combine` of the entries of q
+    and m and the sum of their counts; a prime p gets `_prime(p)`.  The
+    counts do not depend on w."""
+
+    def __init__(self, prec: int, guard: int, one):
+        self.prec = prec
+        self.w = prec + guard
+        self.values = [None, one]
+        self.counts = [None, 0]
+        self.primes = []
+
+    def entry(self, k: int):
+        values, counts = self.values, self.counts
+        for n in range(len(values), k + 1):
+            q = _least_factor(n, self.primes)
+            if q is None:
+                self.primes.append(n)
+                v, c = self._prime(n)
+            else:
+                v, c = self._combine(values[q], values[n // q])
+                c += counts[q] + counts[n // q]
+            values.append(v)
+            counts.append(c)
+        return values[k], counts[k]
+
+
+class _LogTable(_Table):
+    """log k in fixed point: integers L_k within counts[k] of 2^w log k.
+
+    log p = log(p-1) + 2 atanh(1/(2p-1)), the series rounded within 1, so
+    a prime's count is that of p-1 plus 1 (log 2 = 2 atanh(1/3) gets 1),
+    and counts[k] <= 2 log2 k by induction over p - 1 = 2 m."""
+
+    def __init__(self, prec: int, guard: int):
+        super().__init__(prec, guard, 0)
+
+    def _prime(self, p):
+        return (self.values[p - 1] + _atanh_inv(2 * p - 1, self.w),
+                self.counts[p - 1] + 1)
+
+    def _combine(self, a, b):
+        return a + b, 0
+
+    def output(self, v):
+        return mp.make_mpf(from_man_exp(v, -self.w, self.prec, round_nearest))
+
+
+class _PowerTable(_Table):
+    """k^alpha in floating point: mpf (or mpc) tuples at w bits within the
+    relative error counts[k] 2^-w.  Floating, not fixed point, so that
+    |k^alpha| < 1 (Re alpha < 0) keeps its relative bound.
+
+    A product is rounded once, which adds 1 to its count and 1 more for
+    the product of its factors' errors.  With `ratios` None, alpha = 1/2
+    and a prime gets floor(2^w sqrt p), count 1.  Otherwise `ratios` are
+    the exact real (and imaginary) part of alpha with
+    `bound` >= |re| + |im|, and a prime gets exp(alpha L_p 2^-w) at w bits,
+    L_p from a log table at the same w with count c_p: the argument,
+    floored per part, is within bound c_p + 2 units of alpha log p, and
+    exp's own rounding (1 ulp per part) and the second order bring the
+    count to bound c_p + 6.  So counts[k] <= (2 bound + 8) log2 k, and
+    3 log2 k for alpha = 1/2."""
+
+    def __init__(self, prec: int, guard: int, ratios=None, bound: int = 0):
+        self.complex = ratios is not None and len(ratios) == 2
+        super().__init__(prec, guard, (fone, fzero) if self.complex else fone)
+        self.ratios = ratios
+        self.bound = bound
+        self.logs = _LogTable(prec, guard) if ratios else None
+
+    def _prime(self, p):
+        w = self.w
+        if self.ratios is None:
+            return from_man_exp(math.isqrt(p << 2 * w), -w), 1
+        log_p, c = self.logs.entry(p)
+        x = [from_man_exp(log_p * r.numerator // r.denominator, -w)
+             for r in self.ratios]
+        value = (mpc_exp(tuple(x), w, round_nearest) if self.complex
+                 else mpf_exp(x[0], w, round_nearest))
+        return value, self.bound * c + 6
+
+    def _combine(self, a, b):
+        mul = mpc_mul if self.complex else mpf_mul
+        return mul(a, b, self.w, round_nearest), 2
+
+    def output(self, v):
+        if self.complex:
+            return mp.make_mpc(mpc_pos(v, self.prec, round_nearest))
+        return mp.make_mpf(mpf_pos(v, self.prec, round_nearest))
+
+
+def _per_k(make: Callable, rate: int) -> Callable:
+    """f(k, prec) for k >= 1, read from one table built by make(prec, guard)
+    and built anew when prec changes.
+
+    The guard starts at bit_length(rate log2 prec) + 2, enough for the
+    count bound rate log2 k of every k <= prec, and the table is rebuilt
+    with a guard taken from the count when an entry's count c reaches
+    2^(guard-2).  So c 2^-w < 2^(-prec-2), and the value returned, rounded
+    to prec bits, is within 2^-prec + 3 c 2^-w < 2^(1-prec) relative of
+    f(k) (log k >= log 2 turns the absolute count of log into a relative
+    one)."""
+    table = None
 
     def f(k, prec):
-        if k == 1:
-            return mpf(1)
-        with mp.workprec(prec + 16):
-            if isinstance(alpha, (complex, mpc)):
-                a = mpc(alpha)
-            elif isinstance(alpha, Fraction):
-                a = mpf(alpha.numerator) / alpha.denominator
-            else:
-                a = mpf(alpha)
-            return mpmath.exp(a * mpmath.log(k))
+        nonlocal table
+        if k < 1:
+            raise ValueError(f"the table starts at k = 1, not at {k}")
+        if table is None or table.prec != prec:
+            table = make(prec, (rate * prec.bit_length()).bit_length() + 2)
+        value, count = table.entry(k)
+        if count >> (table.w - prec - 2):
+            table = make(prec, count.bit_length() + 2)
+            value, count = table.entry(k)
+        return table.output(value)
     return f
+
+
+def log_seq() -> Callable:
+    """f(k, prec) = log k for k >= 1 within the relative error 2^(1-prec),
+    from a fixed-point table that calls no mpmath function: only the
+    primes sum a series (see `_LogTable`).  Each call of log_seq() makes
+    a new table."""
+    return _per_k(_LogTable, 2)
+
+
+def power_seq(alpha) -> Callable:
+    """f(k, prec) = k^alpha = exp(alpha log k) for k >= 1 within the
+    relative error 2^(1-prec) of the alternating-sum contract, for real,
+    complex or rational alpha.
+
+    k^alpha is multiplicative, so only the primes take real work: one
+    mpmath exp of alpha log p each, with log p from the fixed-point
+    log table, or floor(2^w sqrt p) when alpha = 1/2.  A composite is one
+    rounded product of two table entries.  Each entry carries an error
+    count in units of 2^-w, w = prec + guard, and the guard comes from
+    the counts (see `_PowerTable` and `_per_k`).  Rational alpha enters
+    exactly, not through float."""
+    if alpha == 0.5:
+        return _per_k(_PowerTable, 3)
+    parts = ([alpha.real, alpha.imag] if isinstance(alpha, (complex, mpc))
+             else [alpha])
+    ratios = [Fraction(*to_rational(x._mpf_)) if isinstance(x, mpf)
+              else Fraction(x) for x in parts]
+    bound = sum(math.ceil(abs(r)) for r in ratios)
+
+    def make(prec, guard):
+        return _PowerTable(prec, guard, ratios, bound)
+    return _per_k(make, 2 * bound + 8)
 
 
 def power_diff_eval(alpha, n: int, target_bits: int) -> BigReal:

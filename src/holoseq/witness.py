@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List
 
-import mpmath
 import numpy as np
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from . import hpeval
 from .abelian import AsymptoticScale, verify_transfer
@@ -73,11 +72,6 @@ def _log_singular_op() -> DiffOp:
     return DiffOp([Poly([1, -1]), Poly([-1]), Poly()])
 
 
-def _log_seq(k, prec):
-    with mp.workprec(prec):
-        return mpmath.log(k)
-
-
 def _grid_and_precision(f, ns, target_bits: int):
     """binomial_diff_grid(f, ns, target_bits) and the largest working
     precision f was evaluated at, which is the precision of the report."""
@@ -102,7 +96,7 @@ def witness_log(nmax: int = 2000, grid=None, target_bits: int = 64) -> WitnessRe
     ns = _grid(grid, nmax, 100, range(100, nmax + 1))
     if ns[0] < 2:
         raise ValueError("grid indices need n >= 2 so loglog n is defined")
-    values, p = _grid_and_precision(_log_seq, ns, target_bits)
+    values, p = _grid_and_precision(hpeval.log_seq(), ns, target_bits)
     samples = []
     for n in ns:
         v = float(values[n].value)

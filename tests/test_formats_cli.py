@@ -160,6 +160,37 @@ class TestCli:
         assert "lower end of the default grid" in capsys.readouterr().err
         assert main(["witness", "powers", "--nmax", "300"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["witness", "primes", "--nmax", "0"],
+        ["witness", "log", "--nmax", "0"],
+        ["witness", "powers", "--nmax", "-5"],
+    ], ids=["primes-0", "log-0", "powers-negative"])
+    def test_nonpositive_nmax_exit_2(self, argv, capsys):
+        # 0 used to be read as "not given" and ran the default nmax
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert "--nmax" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--precision-bits", "0", "transfer", "--alpha", "1/2"],
+        ["transfer", "--alpha", "1/2", "--precision-bits", "-5"],
+        ["primes", "li", "1000", "--precision-bits", "0"],
+        ["verify", "--input", "f.bfile", "--precision-bits", "-1"],
+    ], ids=["transfer-0", "transfer-negative", "li-0", "verify-negative"])
+    def test_nonpositive_precision_bits_exit_2(self, argv, capsys):
+        # 0 used to mean the default and -5 gave Gamma(3/2) off by 1.6e-6
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert "--precision-bits" in capsys.readouterr().err
+
+    def test_given_precision_bits_is_used(self, capsys):
+        assert main(["--json", "transfer", "--alpha", "1/2",
+                     "--precision-bits", "80"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert abs(payload["gamma_factor"] - math.sqrt(math.pi) / 2) < 1e-15
+
     def test_closure_sum(self, tmp_path, capsys):
         a = Recurrence([P(1), P(-1)], initial_terms=[1])
         b = Recurrence([P(1), P(-2)], initial_terms=[1])

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -7,7 +10,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from holoseq.annihilators import SequenceStream
-from holoseq import hpeval
+from holoseq import hpeval, witness
 from holoseq.closure import binomial_diff_seq
 from holoseq.hpeval import (
     BigReal,
@@ -22,6 +25,7 @@ from holoseq.hpeval import (
     lambert_w,
     power_diff_eval,
 )
+from holoseq.primes import sieve
 
 
 def log_seq(k, prec):
@@ -32,6 +36,41 @@ def log_seq(k, prec):
 def sqrt_seq(k, prec):
     with mp.workprec(prec):
         return mpmath.sqrt(k)
+
+
+def mpmath_alpha(alpha):
+    """alpha as an mpf or mpc at the current precision."""
+    if isinstance(alpha, (complex, mpc)):
+        return mpc(alpha)
+    if isinstance(alpha, Fraction):
+        return mpf(alpha.numerator) / alpha.denominator
+    return mpf(alpha)
+
+
+def mpmath_power_seq(alpha):
+    """k^alpha = exp(alpha log k) by one mpmath log and one exp per k: the
+    reference for the prime-built `hpeval.power_seq`."""
+    def f(k, prec):
+        with mp.workprec(prec + 16):
+            return mpmath.exp(mpmath_alpha(alpha) * mpmath.log(k))
+    return f
+
+
+def mpmath_calls(fn) -> Counter:
+    """Run fn() and count the calls of each function defined in mpmath."""
+    calls = Counter()
+    root = os.path.dirname(mpmath.__file__)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 class TestBigReal:
@@ -202,6 +241,107 @@ class TestOracles:
             assert all(type(t) is Fraction for t in out)
 
 
+ALPHAS = [1 / 3, Fraction(2, 3), 3 / 2, 1 / 2, mpc(0, 1),
+          3.5, -0.7, mpc(-1.25, 2)]
+
+
+class TestPrimeTables:
+    """log_seq() and power_seq(alpha) against one mpmath log (and exp) per
+    k at prec + 128 bits."""
+
+    KMAX = 1500
+
+    @pytest.fixture(scope="class")
+    def logs(self):
+        with mp.workprec(1000 + 128):
+            return [None, mpf(0)] + [mpmath.log(k) for k in range(2, self.KMAX + 1)]
+
+    @staticmethod
+    def worst(f, reference, prec, kmax):
+        """max over k <= kmax of |f(k, prec) - reference(k)| / |reference(k)|,
+        in units of 2^-prec."""
+        with mp.workprec(prec):
+            values = [f(k, prec) for k in range(1, kmax + 1)]
+        with mp.workprec(prec + 128):
+            return max(abs(v - reference(k)) / abs(reference(k))
+                       for k, v in enumerate(values, 1) if k > 1) * 2 ** prec
+
+    @pytest.mark.parametrize("prec", [64, 1000])
+    def test_log(self, prec, logs):
+        # the bound _per_k states, inside the contract's 2^(4-prec)
+        assert self.worst(hpeval.log_seq(), logs.__getitem__, prec, self.KMAX) <= 2
+        assert hpeval.log_seq()(1, prec) == 0
+
+    @pytest.mark.parametrize("alpha", ALPHAS, ids=str)
+    @pytest.mark.parametrize("prec", [64, 1000])
+    def test_power(self, alpha, prec, logs):
+        with mp.workprec(prec + 128):
+            a = mpmath_alpha(alpha)
+
+        def reference(k):
+            return mpmath.exp(a * logs[k])
+        assert self.worst(hpeval.power_seq(alpha), reference, prec, self.KMAX) <= 2
+        assert hpeval.power_seq(alpha)(1, prec) == 1
+
+    def test_tables_start_at_one(self):
+        with pytest.raises(ValueError):
+            hpeval.log_seq()(0, 64)
+        with pytest.raises(ValueError):
+            hpeval.power_seq(1 / 3)(0, 64)
+
+    def test_guard_grows_beyond_prec(self, monkeypatch):
+        # at 16 bits the first guard, 6, admits counts below 2^4, and
+        # k <= 16 has count <= 2 log2 k = 8; 65535 = 3 5 17 257 has count
+        # 2 + 3 + 5 + 9 = 19, so the table is built again with the guard
+        # bit_length(19) + 2, which also serves the larger k after it
+        guards = []
+
+        class Spy(hpeval._LogTable):
+            def __init__(self, prec, guard):
+                guards.append(guard)
+                super().__init__(prec, guard)
+
+        monkeypatch.setattr(hpeval, "_LogTable", Spy)
+        f = hpeval.log_seq()
+        for k in (10, 65535, 65536, 3 ** 9 * 5, 99991):
+            with mp.workprec(16 + 128):
+                assert abs(f(k, 16) - mpmath.log(k)) <= 2 ** -15 * mpmath.log(k)
+        assert guards == [6, 7]
+
+
+class TestPrimeTableWitnesses:
+    """Witness values from the prime-built tables lie within the bound of
+    the per-k mpmath route, at the same working precision."""
+
+    @staticmethod
+    def reference(f, ns):
+        return witness._grid_and_precision(f, ns, 64)
+
+    @staticmethod
+    def assert_close(report, reference):
+        values, p = reference
+        assert report.precision_bits == p
+        for s in report.samples:
+            ref = values[s["x"]]
+            assert abs(s["value"] - ref.value) <= ref.bound + 2 ** -52 * abs(s["value"])
+
+    def test_log(self):
+        ns = witness.log_grid(100, 1000, 12)
+        report = witness.witness_log(nmax=1000, grid=ns)
+        self.assert_close(report, self.reference(log_seq, ns))
+
+    @pytest.mark.parametrize("alpha, nmax", [
+        (1 / 3, 1000), (Fraction(2, 3), 700), (3 / 2, 700), (1 / 2, 1000),
+        # the table is evaluated a second time, at 702 bits
+        (3.5, 600),
+    ], ids=str)
+    def test_powers(self, alpha, nmax):
+        report = witness.witness_powers(alpha, nmax=nmax)
+        ns = [s["x"] for s in report.samples]
+        f = sqrt_seq if alpha == 0.5 else mpmath_power_seq(alpha)
+        self.assert_close(report, self.reference(f, ns))
+
+
 class TestWorkCounts:
     @staticmethod
     def counted(f):
@@ -231,6 +371,20 @@ class TestWorkCounts:
         assert sorted(calls) == sorted(list(range(1, 301)) * 2)
         assert r.bound <= mpf(2) ** -64
         assert abs(r.value - direct_sum(lambda k: mpf(k) ** 3.5, 300, 1)) <= r.bound
+
+    def test_log_table_calls_no_mpmath_log(self):
+        f = hpeval.log_seq()
+        p = hpeval._alternating_precision(2450, 64)
+        calls = mpmath_calls(lambda: hpeval._f_tables(f, 2450, 1, p))
+        assert calls["mpf_log"] == 0 and calls["log"] == 0
+        assert calls["mpf_exp"] == 0
+
+    def test_power_table_calls_exp_once_per_prime(self):
+        f = hpeval.power_seq(1 / 3)
+        p = hpeval._alternating_precision(2450, 64)
+        calls = mpmath_calls(lambda: hpeval._f_tables(f, 2450, 1, p))
+        assert calls["mpf_exp"] == len(sieve(2450))
+        assert calls["mpf_log"] == 0 and calls["log"] == 0
 
     def test_cap_raises_before_any_f_call(self, monkeypatch):
         monkeypatch.setenv("HOLO_PRECISION_CAP", "128")
