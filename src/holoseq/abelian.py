@@ -180,6 +180,9 @@ def verify_transfer(u: Union[Sequence, np.ndarray], scale: AsymptoticScale,
     |theta| <= pi/4 keeps z inside the theorem's sector.  `u` must supply
     values through index N_kmax = ceil(2^kmax kmax^2); numpy arrays take a
     vectorized float64 path, higher precisions a scalar path."""
+    if not 1 <= kmin <= kmax:
+        raise ValueError(f"need 1 <= kmin <= kmax, got kmin = {kmin}, "
+                         f"kmax = {kmax}")
     if abs(sector_angle) > math.pi / 4 + 1e-12:
         raise ValueError("|sector_angle| must be <= pi/4")
     element = transfer(scale)

@@ -30,7 +30,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .kernel import Poly, _primitive, poly_gcd, rational_roots_and_cofactor
+from .kernel import (Poly, _content_sign, _primitive, poly_gcd,
+                     rational_roots_and_cofactor)
 from .series import Series
 
 
@@ -41,20 +42,6 @@ class LeadingCoefficientZero(Exception):
     def __init__(self, n: int):
         self.n = n
         super().__init__(f"leading coefficient vanishes at n = {n}")
-
-
-def _normalize_polys(polys):
-    """Scalar normalization: divide the family by its global rational
-    content and fix the sign so the first polynomial has positive leading
-    coefficient.  Returns a list of Polys."""
-    content = Poly([c for p in polys for c in p.coeffs]).content()
-    if content == 0:
-        return list(polys)
-    out = [p * (1 / content) for p in polys]
-    first = next((p for p in out if not p.is_zero()), None)
-    if first is not None and first.leading() < 0:
-        out = [-p for p in out]
-    return out
 
 
 class Recurrence:
@@ -80,7 +67,10 @@ class Recurrence:
             shift += 1
         if shift:
             ps = [p.shift_arg(-shift) for p in ps]
-        self.coeffs = tuple(_normalize_polys(ps))
+        # scalar normalization: coprime integer coefficients, p_0 with a
+        # positive leading coefficient
+        content, sign = _content_sign(ps)
+        self.coeffs = tuple([p * (sign / content) for p in ps])
         self.initial_terms = (tuple(Fraction(t) for t in initial_terms)
                               if initial_terms is not None else None)
 
@@ -200,12 +190,10 @@ def unroll(rec: Recurrence, init: Sequence, N: int) -> SequenceStream:
     p = rec.coeffs
     while len(terms) <= N:
         n = len(terms) - d
-        lead = p[0](Fraction(n))
+        lead = p[0](n)
         if lead == 0:
             raise LeadingCoefficientZero(n)
-        s = Fraction(0)
-        for i in range(1, d + 1):
-            s += p[i](Fraction(n)) * terms[n + d - i]
+        s = sum(p[i](n) * terms[n + d - i] for i in range(1, d + 1))
         terms.append(-s / lead)
     return SequenceStream(terms[:N + 1], "exact")
 
@@ -220,7 +208,7 @@ def apply(rec: Recurrence, seq, rng) -> list:
             raise ValueError(f"sequence too short for residual at n = {n}")
         s = 0
         for i, p in enumerate(rec.coeffs):
-            c = p(Fraction(n))
+            c = p(n)
             if c != 0:
                 s = s + c * terms[n + d - i]
         out.append(s)
@@ -312,7 +300,7 @@ def rec_to_ode(rec: Recurrence) -> DiffOp:
     if init is not None:
         for i, p in enumerate(rec.coeffs):
             for m in range(d - i):
-                c = p(Fraction(m - d + i)) * init[m]
+                c = p(m - d + i) * init[m]
                 if c != 0:
                     R = R + Poly([0] * (m + i) + [c])
 

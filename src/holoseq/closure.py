@@ -19,13 +19,12 @@ No term data is consulted.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional
 
 from . import hpeval
 from .annihilators import DiffOp, Recurrence, SequenceStream, ode_to_rec, rec_to_ode, unroll
-from .kernel import Poly, RatFun, _as_ratfun, nullspace
+from .kernel import Poly, RatFun, _as_ratfun, _scaled, nullspace
 
 
 class DegenerateSubstitution(Exception):
@@ -141,10 +140,8 @@ def binomial_diff_seq(seq, N: int, include_zero_term: bool = True,
     k0 = 0 if include_zero_term else 1
     if stream.mode == "exact":
         # integers over the common denominator L, swept exactly
-        terms = stream.terms[k0:N + 1]
-        L = math.lcm(*(t.denominator for t in terms))
-        table = [0] * k0 + [t.numerator * (L // t.denominator) for t in terms]
-        sums = hpeval._sweep(table, range(N + 1))
+        nums, L = _scaled(stream.terms[k0:N + 1])
+        sums = hpeval._sweep([0] * k0 + nums, range(N + 1))
         return SequenceStream([Fraction(sums[n], L) for n in range(N + 1)], "exact")
     g = target_bits if target_bits is not None else 64
     out = hpeval.binomial_diff_stream_grid(stream, range(N + 1), g, start=k0)

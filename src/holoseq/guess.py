@@ -9,15 +9,15 @@ recorded in the provenance block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from mpmath import mp, mpf
+from mpmath.libmp import to_rational
 
 from .annihilators import Recurrence, apply
-from .kernel import Poly, nullspace
+from .kernel import Poly, _scaled, nullspace
 
 # Mersenne prime 2^61 - 1: modular pre-filter rejects full-rank systems
 # without touching big rationals
@@ -54,20 +54,9 @@ def _ansatz_rows(terms, r: int, d: int, n_rows: int):
     n^j * f_{n+r-i} for columns (i, j), scaled to clear denominators."""
     rows = []
     for n in range(n_rows):
-        window = terms[n:n + r + 1]
-        den = 1
-        for t in window:
-            den = den * t.denominator // math.gcd(den, t.denominator)
-        npow = [1]
-        for _ in range(d):
-            npow.append(npow[-1] * n)
-        row = []
-        for i in range(r + 1):
-            t = terms[n + r - i]
-            base = t.numerator * (den // t.denominator)
-            for j in range(d + 1):
-                row.append(base * npow[j])
-        rows.append(row)
+        window, _ = _scaled(terms[n:n + r + 1])
+        npow = [n ** j for j in range(d + 1)]
+        rows.append([t * m for t in reversed(window) for m in npow])
     return rows
 
 
@@ -211,22 +200,13 @@ def _float_rows(terms, r, d, n_rows, prec):
         return rows
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of an mpf (sign, mantissa, exponent)."""
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    frac = Fraction(man) * (Fraction(2) ** exp)
-    return -frac if sign else frac
-
-
 def _normalized_residual(rec: Recurrence, terms, n: int, prec) -> mpf:
     with mp.workprec(prec):
         d = rec.order
         window = terms[n:n + d + 1]
         s = mpf(0)
         for i, p in enumerate(rec.coeffs):
-            c = p(Fraction(n))
+            c = p(n)
             s += mpf(c.numerator) / c.denominator * window[d - i]
         scale = max(abs(t) for t in window)
         if scale == 0:
@@ -327,7 +307,7 @@ def _guess_float_box(vals, r, d, n_train, p, tol, prov):
         # up to ~2^(p/2) are recoverable
         raw = [x[j] / scales[j] for j in range(ncols)]
         top = max(abs(v) for v in raw)
-        exact = [_mpf_to_fraction(v / top) for v in raw]
+        exact = [Fraction(*to_rational((v / top)._mpf_)) for v in raw]
         for denom_cap in (10 ** 3, 10 ** 9, 10 ** 15):
             frac = [v.limit_denominator(denom_cap) for v in exact]
             rec = _vector_to_recurrence(frac, r, d)

@@ -2,6 +2,10 @@
 functions over arbitrary-precision rationals, exact nullspaces of matrices
 over Q or Q(x), and rational roots.
 
+A `Poly` is integers over one denominator, so its arithmetic is integer
+arithmetic: division is pseudo-division, and `poly_gcd` is the primitive
+remainder sequence over Z (Knuth, TAOCP Vol. 2, 4.6.1).
+
 `nullspace` has one eliminator for both fields: rows are scaled to integral
 form (ints, or Polys via `clear_denominators`) and reduced by fraction-free
 Bareiss elimination, so no rational-function arithmetic happens inside it.
@@ -23,65 +27,64 @@ from typing import Iterable, Sequence, Union
 Rational = Union[int, Fraction]
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients, ascending
-    degree.  The zero polynomial is represented by an empty coefficient
-    list; otherwise the trailing (leading-degree) coefficient is nonzero.
-    """
+    """Dense univariate polynomial over Q in ascending degree, stored in
+    one integral form: a tuple of ints `nums`, the last nonzero, over an
+    int `den > 0` with gcd(den, *nums) = 1; zero is `()` over 1.  `coeffs`
+    is the read-only tuple of Fraction coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        p = _poly(*_scaled([c if isinstance(c, (int, Fraction)) else Fraction(c)
+                             for c in coeffs]))
+        self.nums, self.den = p.nums, p.den
+
+    @property
+    def coeffs(self) -> tuple:
+        d = self.den
+        return tuple([Fraction(c, d) for c in self.nums])
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den) if self.nums else Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Poly([other])
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other) -> "Poly":
         other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
+        d = math.lcm(self.den, other.den)
+        a = [c * (d // self.den) for c in self.nums]
+        b = [c * (d // other.den) for c in other.nums]
+        if len(a) < len(b):
+            a, b = b, a
+        for i, c in enumerate(b):
             a[i] += c
-        return Poly(a)
+        return _poly(a, d)
 
     def __radd__(self, other) -> "Poly":
         return self.__add__(other)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return _poly([-c for c in self.nums], self.den)
 
     def __sub__(self, other) -> "Poly":
         return self + (-_as_poly(other))
@@ -91,23 +94,19 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
+            return _poly([c * other.numerator for c in self.nums],
+                         self.den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        a, da = _scaled(self.coeffs)
-        b, db = _scaled(other.coeffs)
+        a, b = self.nums, other.nums
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        d = da * db
-        return Poly([Fraction(c, d) for c in out])
+        return _poly(out, self.den * other.den)
 
-    def __rmul__(self, other) -> "Poly":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -122,9 +121,19 @@ class Poly:
         return result
 
     def __call__(self, x):
-        """Horner evaluation; x may be Fraction, int, float, mpf or Poly."""
-        if not self.coeffs:
+        """Horner evaluation; x may be Fraction, int, float, mpf or Poly.
+        At an int or a Fraction it runs on the integer numerators, with
+        powers of the argument's denominator, and divides once at the end."""
+        nums = self.nums
+        if not nums:
             return x * 0
+        if isinstance(x, (int, Fraction)):
+            a, b = x.numerator, x.denominator
+            acc, bk = nums[-1], 1
+            for c in reversed(nums[:-1]):
+                bk *= b
+                acc = acc * a + c * bk
+            return Fraction(acc, self.den * bk)
         acc = None
         for c in reversed(self.coeffs):
             if acc is None:
@@ -135,22 +144,22 @@ class Poly:
 
     def shift_arg(self, c: Rational) -> "Poly":
         """Return the polynomial X |-> p(X + c)."""
-        return self(Poly([_frac(c), 1]))
+        return self(Poly([c, 1]))
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _poly([i * c for i, c in enumerate(self.nums)][1:], self.den)
 
     def reversed(self, degree: int = None) -> "Poly":
         """Coefficient reversal x^d * p(1/x) padded to the given degree."""
         d = self.degree if degree is None else degree
         if d < self.degree:
             raise ValueError("reversal degree below polynomial degree")
-        cs = list(self.coeffs) + [Fraction(0)] * (d + 1 - len(self.coeffs))
-        return Poly(cs[::-1])
+        cs = list(self.nums) + [0] * (d + 1 - len(self.nums))
+        return _poly(cs[::-1], self.den)
 
     def valuation(self) -> int:
         """Index of the lowest nonzero coefficient; 0 for the zero poly."""
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.nums):
             if c != 0:
                 return i
         return 0
@@ -158,18 +167,9 @@ class Poly:
     def divmod(self, other: "Poly"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        dlead = other.coeffs[-1]
-        dd = other.degree
-        for i in range(len(rem) - 1, dd - 1, -1):
-            if rem[i] == 0:
-                continue
-            f = rem[i] / dlead
-            q[i - dd] = f
-            for j, c in enumerate(other.coeffs):
-                rem[i - dd + j] -= f * c
-        return Poly(q), Poly(rem)
+        q, r, s = _pseudo_divmod(self.nums, other.nums)
+        d = s * self.den
+        return _poly([c * other.den for c in q], d), _poly(r, d)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divmod(_as_poly(other))[0]
@@ -186,26 +186,20 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        lead = self.coeffs[-1]
-        return Poly([c / lead for c in self.coeffs])
+        return _poly(self.nums, self.nums[-1])
 
     def content(self) -> Fraction:
         """Positive rational c such that self/c has coprime integer
         coefficients; 0 for the zero polynomial."""
         if self.is_zero():
             return Fraction(0)
-        den = math.lcm(*[c.denominator for c in self.coeffs])
-        num = math.gcd(*[c.numerator for c in self.coeffs])
-        return Fraction(num, den)
+        return Fraction(math.gcd(*self.nums), self.den)
 
     def primitive(self) -> "Poly":
-        c = self.content()
-        if c == 0:
+        if self.is_zero():
             return self
-        p = Poly([x / c for x in self.coeffs])
-        if p.coeffs[-1] < 0:
-            p = -p
-        return p
+        g = math.gcd(*self.nums)
+        return _poly([c // g for c in self.nums], 1 if self.nums[-1] > 0 else -1)
 
     def squarefree_decomposition(self):
         """Yield (factor, multiplicity) with factor squarefree, product of
@@ -228,7 +222,7 @@ class Poly:
         return out
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "Poly(0)"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -245,9 +239,47 @@ class Poly:
 
 def _scaled(cs):
     """Integer numerators of ints or Fractions over their common
-    denominator, and that denominator."""
+    denominator, and that denominator: the one place where denominators
+    are cleared."""
     d = math.lcm(*[c.denominator for c in cs])
     return [c.numerator * (d // c.denominator) for c in cs], d
+
+
+def _poly(nums, den: int = 1) -> Poly:
+    """The Poly nums/den, for ints nums and den != 0, in integral form:
+    trailing zeros dropped, the gcd of den and all nums divided out."""
+    n = len(nums)
+    while n and not nums[n - 1]:
+        n -= 1
+    g = math.gcd(den, *nums[:n]) if den > 0 else -math.gcd(den, *nums[:n])
+    p = Poly.__new__(Poly)
+    # from a list: tuple() of a generator sizes the tuple by realloc, and
+    # such tuples pile up in CPython's per-size tuple free lists when freed
+    p.nums, p.den = tuple([c // g for c in nums[:n]]), den // g
+    return p
+
+
+def _pseudo_divmod(a, b):
+    """(q, r, s) with s a = q b + r over Z, s > 0 and len(r) <= deg b, for
+    integer sequences a and b, b[-1] != 0.  A step scales by only
+    |lead(b)| / gcd(lead(b), lead(r)), so s = 1 if b divides a in Z[x]."""
+    r, db, lb = list(a), len(b) - 1, b[-1]
+    q, s = [0] * max(0, len(r) - db), 1
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i]
+        if not c:
+            continue
+        m = abs(lb) // math.gcd(c, lb)
+        if m != 1:
+            r = [x * m for x in r]
+            q = [x * m for x in q]
+            s *= m
+            c *= m
+        f = c // lb
+        q[i - db] = f
+        for j, y in enumerate(b):
+            r[i - db + j] -= f * y
+    return q, r[:db], s
 
 
 def _as_poly(x) -> Poly:
@@ -257,11 +289,11 @@ def _as_poly(x) -> Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
+    """Monic gcd by the primitive remainder sequence over Z: Euclid on the
+    primitive parts, each pseudo-remainder divided by its content."""
+    a, b = a.primitive(), b.primitive()
+    while b:
+        a, b = b, _poly(_pseudo_divmod(a.nums, b.nums)[1]).primitive()
     return a.monic()
 
 
@@ -304,11 +336,7 @@ class RatFun:
         if g.degree > 0:
             num = num.exact_div(g)
             den = den.exact_div(g)
-        lead = den.coeffs[-1]
-        if lead != 1:
-            num = num * (1 / lead)
-            den = den.monic()
-        self.num, self.den = num, den
+        self.num, self.den = num * (1 / den.leading()), den.monic()
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -499,9 +527,18 @@ def _primitive(v):
             break
     if g.degree > 0:
         v = [p.exact_div(g) for p in v]
-    # the content of the coefficient list of every entry, read as one Poly
-    content = Poly([c for p in v for c in p.coeffs]).content()
+    content, _ = _content_sign(v)
     return [p * (1 / content) for p in v]
+
+
+def _content_sign(polys):
+    """(c, s) for Polys not all zero: c > 0 the rational content of all
+    their coefficients together, s the sign of the leading coefficient of
+    the first nonzero one."""
+    live = [p for p in polys if p.nums]
+    c = Fraction(math.gcd(*[math.gcd(*p.nums) for p in live]),
+                 math.lcm(*[p.den for p in live]))
+    return c, 1 if live[0].nums[-1] > 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +572,7 @@ def rational_roots_and_cofactor(p: Poly):
     v = q.valuation()
     if v > 0:
         roots.append((Fraction(0), v))
-        q = Poly(q.coeffs[v:])
+        q = _poly(q.nums[v:])
     if q.degree >= 1:
         for r in _lifted_candidates(q):
             mult = 0
@@ -563,8 +600,8 @@ def _lifted_candidates(q: Poly) -> list:
     in the size of q.
     """
     s = q.exact_div(poly_gcd(q, q.derivative())).primitive()
-    cs = [c.numerator for c in s.coeffs]
-    ds = [c.numerator for c in s.derivative().coeffs]
+    cs = s.nums
+    ds = s.derivative().nums
     lead = cs[-1]
     p = 2 * s.degree
     while True:

@@ -195,7 +195,7 @@ def classify_point(ode: DiffOp, z0) -> SingularPointReport:
     local = local_operator(ode, z0c)
     e = local.order
     slopes = _newton(local)
-    ordinary = local.coeffs[0](Fraction(0)) != 0
+    ordinary = local.coeffs[0](0) != 0
     if ordinary:
         kind = "ordinary"
     elif all(s == 0 for s, _ in slopes):
@@ -207,14 +207,8 @@ def classify_point(ode: DiffOp, z0) -> SingularPointReport:
     if ordinary:
         bound, flag = 0, "none"
     positive = [s for s, _ in slopes if s > 0]
-    if positive:
-        ram = 1
-        for s in positive:
-            ram = ram * s.denominator // math.gcd(ram, s.denominator)
-        exp_deg = max(positive) * ram
-    else:
-        ram = 1
-        exp_deg = Fraction(0)
+    ram = math.lcm(*[s.denominator for s in positive])
+    exp_deg = max(positive, default=Fraction(0)) * ram
     return SingularPointReport(
         location=z0c,
         kind=kind,

@@ -137,3 +137,98 @@ def full_degree_rec(rng, order):
     init = [Fraction(rng.randint(-3, 3)) for _ in range(order)]
     return Recurrence([poly(True)] + [poly(False) for _ in range(order)],
                       initial_terms=init)
+
+
+class FractionPoly:
+    """Reference oracle for `Poly`: a tuple of Fraction coefficients in
+    ascending degree, trailing zeros dropped, with schoolbook arithmetic,
+    long division and Euclid's gcd over Q."""
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
+        for i, c in enumerate(other.coeffs):
+            a[i] += c
+        return FractionPoly(a)
+
+    def __neg__(self):
+        return FractionPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionPoly):
+            return FractionPoly([c * other for c in self.coeffs])
+        out = [Fraction(0)] * max(0, len(self.coeffs) + len(other.coeffs) - 1)
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(other.coeffs):
+                out[i + j] += x * y
+        return FractionPoly(out)
+
+    def __call__(self, x):
+        if isinstance(x, FractionPoly):
+            acc = FractionPoly()
+            for c in reversed(self.coeffs):
+                acc = acc * x + FractionPoly([c])
+            return acc
+        if not self.coeffs:
+            return x * 0
+        acc = self.coeffs[-1]
+        for c in reversed(self.coeffs[:-1]):
+            acc = acc * x + c
+        return acc
+
+    def shift_arg(self, c):
+        return self(FractionPoly([c, 1]))
+
+    def derivative(self):
+        return FractionPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def divmod(self, other):
+        rem = list(self.coeffs)
+        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
+        dd = len(other.coeffs) - 1
+        for i in range(len(rem) - 1, dd - 1, -1):
+            f = rem[i] / other.coeffs[-1]
+            q[i - dd] = f
+            for j, c in enumerate(other.coeffs):
+                rem[i - dd + j] -= f * c
+        return FractionPoly(q), FractionPoly(rem)
+
+    def monic(self):
+        return FractionPoly([c / self.coeffs[-1] for c in self.coeffs])
+
+    def content(self):
+        return Fraction(math.gcd(*[c.numerator for c in self.coeffs]),
+                        math.lcm(*[c.denominator for c in self.coeffs]))
+
+    def primitive(self):
+        c = self.content()
+        return FractionPoly([x / c if self.coeffs[-1] > 0 else -x / c
+                             for x in self.coeffs])
+
+
+def fraction_poly_gcd(a, b):
+    """Monic gcd by Euclid's algorithm over Q, the reference for
+    `poly_gcd`."""
+    while b.coeffs:
+        a, b = b, a.divmod(b)[1]
+    return a.monic() if a.coeffs else a
+
+
+def random_rational_poly(rng, maxdeg, bits=20, zero_frac=0.2):
+    """Degree <= maxdeg (zero polynomial possible), coefficients n/d with
+    |n| < 2^bits and d <= 60, each one zero with probability zero_frac."""
+    return [Fraction(rng.randint(-(1 << bits), 1 << bits), rng.randint(1, 60))
+            if rng.random() >= zero_frac else Fraction(0)
+            for _ in range(rng.randint(0, maxdeg + 1))]

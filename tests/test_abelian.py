@@ -84,6 +84,19 @@ class TestVerifyTransfer:
             verify_transfer(np.ones(10), AsymptoticScale(0, 0, 0),
                             math.pi / 2, kmax=4)
 
+    @pytest.mark.parametrize("kmin,kmax", [(5, 4), (0, 4), (-1, 3), (0, 0)])
+    def test_k_range_must_be_nonempty_and_positive(self, kmin, kmax):
+        # (5, 4) raised IndexError at samples[-1]; kmin = 0 a bare
+        # "math domain error" from log z at z = 1 - 2^0 = 0
+        with pytest.raises(ValueError, match="1 <= kmin <= kmax"):
+            verify_transfer(np.ones(truncation_depth(4) + 1),
+                            AsymptoticScale(0, 0, 0), 0.0, kmax=kmax, kmin=kmin)
+
+    def test_single_k(self):
+        rep = verify_transfer(np.ones(truncation_depth(4) + 1),
+                              AsymptoticScale(0, 0, 0), 0.0, kmax=4, kmin=4)
+        assert [s.k for s in rep.samples] == [4]
+
     def test_tail_estimates_recorded(self):
         N = truncation_depth(8)
         rep = verify_transfer(np.ones(N + 1), AsymptoticScale(0, 0, 0),

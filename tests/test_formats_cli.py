@@ -230,6 +230,15 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["final_ratio"] - 1) < 1e-5
 
+    @pytest.mark.parametrize("kmin,kmax", [("5", "4"), ("0", "4")])
+    def test_verify_bad_k_range_exit_2(self, tmp_path, capsys, kmin, kmax):
+        bf = write(tmp_path / "ones.bfile",
+                   "\n".join(f"{n} 1" for n in range(300)) + "\n")
+        code = main(["verify", "--input", bf, "--kmin", kmin, "--kmax", kmax])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "1 <= kmin <= kmax" in err and "Traceback" not in err
+
     def test_bad_bfile_exit_3(self, tmp_path, capsys):
         bf = write(tmp_path / "gap.bfile", "0 1\n2 2\n")
         code = main(["guess", "--input", bf])

@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from mpmath import mp, mpf
+from seqlib import FractionPoly, fraction_poly_gcd, random_rational_poly
 
 from holoseq.kernel import (
     Poly,
@@ -88,6 +90,98 @@ class TestPolyArith:
 
     def test_pow(self):
         assert P(1, 1) ** 3 == P(1, 3, 3, 1)
+
+
+def _pairs(seed, count, maxdeg=8):
+    """Seeded (Poly, FractionPoly) pairs with the same coefficients."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        cs = random_rational_poly(rng, maxdeg)
+        yield Poly(cs), FractionPoly(cs), rng
+
+
+class TestPolyAgainstFractionOracle:
+    """The integral form against Fraction-tuple arithmetic and Euclid over
+    Q, on seeded random rational polynomials."""
+
+    def test_ring_operations(self):
+        for (a, ra, rng), (b, rb, _) in zip(_pairs(1, 150), _pairs(2, 150)):
+            assert (a + b).coeffs == (ra + rb).coeffs
+            assert (a - b).coeffs == (ra - rb).coeffs
+            assert (a * b).coeffs == (ra * rb).coeffs
+            c = Fraction(rng.randint(-99, 99), rng.randint(1, 30))
+            assert (a * c).coeffs == (ra * c).coeffs
+            assert (c * a).coeffs == (ra * c).coeffs
+            assert (a + 3).coeffs == (ra + FractionPoly([3])).coeffs
+
+    def test_divmod(self):
+        for (a, ra, _), (b, rb, _) in zip(_pairs(3, 150, 10), _pairs(4, 150, 5)):
+            if b.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    a.divmod(b)
+                continue
+            q, r = a.divmod(b)
+            rq, rr = ra.divmod(rb)
+            assert (q.coeffs, r.coeffs) == (rq.coeffs, rr.coeffs)
+            assert q * b + r == a
+            assert r.degree < b.degree
+            assert (a * b).exact_div(b) == a
+            if r:
+                with pytest.raises(ValueError):
+                    a.exact_div(b)
+
+    def test_content_primitive_monic_shift_derivative(self):
+        for a, ra, rng in _pairs(5, 200):
+            assert a.derivative().coeffs == ra.derivative().coeffs
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            assert a.shift_arg(c).coeffs == ra.shift_arg(c).coeffs
+            assert a.shift_arg(-2).coeffs == ra.shift_arg(-2).coeffs
+            if a.is_zero():
+                assert a.content() == 0 and a.primitive() == a == a.monic()
+                continue
+            assert a.content() == ra.content()
+            assert a.primitive().coeffs == ra.primitive().coeffs
+            assert a.primitive() * a.content() in (a, -a)
+            assert a.monic().coeffs == ra.monic().coeffs
+            assert a.leading() == ra.coeffs[-1]
+
+    def test_evaluation(self):
+        with mp.workprec(120):
+            for (a, ra, rng), (b, rb, _) in zip(_pairs(6, 150), _pairs(7, 150, 3)):
+                n = rng.randint(-50, 50)
+                x = Fraction(rng.randint(-50, 50), rng.randint(1, 40))
+                m = mpf(rng.random()) * 7 - 3
+                assert a(n) == ra(Fraction(n))
+                assert a(x) == ra(x)
+                assert a(m) == ra(m)
+                assert a(b).coeffs == ra(rb).coeffs
+
+    def test_gcd(self):
+        rng = random.Random(8)
+        for _ in range(120):
+            g = random_rational_poly(rng, 3, bits=8)
+            cs = [random_rational_poly(rng, 5, bits=8) for _ in range(2)]
+            a, b = (Poly(c) * Poly(g) for c in cs)
+            ra, rb = (FractionPoly(c) * FractionPoly(g) for c in cs)
+            assert poly_gcd(a, b).coeffs == fraction_poly_gcd(ra, rb).coeffs
+            assert poly_gcd(b, a) == poly_gcd(a, b)
+
+    def test_one_form_per_polynomial(self):
+        # equal Polys from every construction route have equal fields and
+        # hashes, and a Poly rebuilt from its coefficients is itself
+        for (a, ra, _), (b, rb, _) in zip(_pairs(9, 150), _pairs(10, 150)):
+            for p in (a, a * b, a + b, a - b, a.derivative(),
+                      a.shift_arg(Fraction(1, 3))):
+                assert Poly(p.coeffs) == p
+                assert hash(Poly(p.coeffs)) == hash(p)
+                assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
+                assert not p.nums or p.nums[-1] != 0
+            assert a * b == b * a and hash(a * b) == hash(b * a)
+            assert Poly([*a.coeffs, 0, 0]) == a
+        assert Poly([Fraction(2, 4), 1]) == Poly([Fraction(1, 2), Fraction(3, 3)])
+        assert hash(P(2, 4) * Fraction(1, 2)) == hash(P(1, 2))
+        assert Poly() == Poly([0, Fraction(0)]) == P(1, 1) - P(1, 1)
+        assert (Poly().nums, Poly().den) == ((), 1)
 
 
 class TestRatFun:
@@ -263,6 +357,18 @@ class TestRationalRoots:
         p = P(-1, 1) * P(-6, 1) ** 3
         assert rational_roots_and_cofactor(p) == (
             [(Fraction(1), 1), (Fraction(6), 3)], P(1))
+
+    def test_dense_degree_30_squarefree_part(self):
+        # the squarefree part q / gcd(q, q') of a dense degree-30 polynomial
+        # with 64-bit coefficients times (7x - 3)^2 took 3.3-4.0 s with
+        # Euclid over Q in Fractions
+        rng = random.Random(30)
+        g = Poly([rng.randint(-(1 << 63), 1 << 63) for _ in range(31)])
+        t0 = time.perf_counter()
+        roots, cof = rational_roots_and_cofactor(g * P(-3, 7) ** 2)
+        assert time.perf_counter() - t0 < 1.0
+        assert roots == [(Fraction(3, 7), 2)]
+        assert cof.degree == 30 and cof == g.primitive()
 
     def test_huge_coefficients_without_factoring(self):
         # (x - 3)(x^2 + M61 M89), M61 and M89 Mersenne primes: enumerating
