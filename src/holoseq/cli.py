@@ -7,6 +7,7 @@ Exit codes: 0 success (a well-formed NotFound included), 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -312,9 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import; argparse keeps no state
+    # between parse_args calls, so every call shares it
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (FormatError, FileNotFoundError, NonRationalPoint) as e:

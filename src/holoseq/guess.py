@@ -5,6 +5,16 @@ residuals on every supplied term (exact mode) or normalized residuals
 within tolerance on held-out terms (float mode).  A NotFound result is
 *evidence*, never proof; the searched (order, degree) box is always
 recorded in the provenance block.
+
+Exact mode screens each box by a rank modulo a 61-bit prime and runs the
+fraction-free nullspace over Z only on survivors.  Float mode splits the
+terms once into integer mantissas and exponents and eliminates in
+fixed-point integers: columns scaled by powers of two, partial pivoting,
+w = precision + guard bits.  Partial pivoting bounds every multiplier by 1
+in magnitude, so a step at most doubles an entry; the guard,
+ncols + bit_length(ncols), covers that growth and the rounding of the
+updates (see `guess_float`).  Only the held-out residual certificate runs
+in mpf.
 """
 
 from __future__ import annotations
@@ -14,7 +24,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from mpmath import mp, mpf
-from mpmath.libmp import to_rational
 
 from .annihilators import Recurrence, apply
 from .kernel import Poly, _scaled, nullspace
@@ -38,11 +47,12 @@ class GuessResult:
         return self.found
 
 
-def _require_terms(n_terms: int, max_order: int, max_degree: int):
+def _require_terms(n_terms: int, max_order: int, max_degree: int,
+                   spare: int = 20):
     if max_order < 0 or max_degree < 0:
         raise ValueError(f"empty search box ({max_order},{max_degree}): "
                          "order and degree bounds must be nonnegative")
-    need = (max_order + 1) * (max_degree + 1) + 20
+    need = (max_order + 1) * (max_degree + 1) + spare
     if n_terms < need:
         raise InsufficientTerms(
             f"need at least {need} terms for a ({max_order},{max_degree}) "
@@ -173,31 +183,21 @@ _HELD_OUT = 20
 
 
 def _float_terms(terms):
+    """The terms as mpf at the current precision.  A term that is not
+    finite is a ValueError naming its index: it has no mantissa to split,
+    and an infinite or NaN residual would pass any tolerance test."""
     out = []
-    for t in terms:
+    for k, t in enumerate(terms):
         if hasattr(t, "value") and hasattr(t, "bound"):  # BigReal
-            out.append(mpf(t.value))
+            v = mpf(t.value)
         elif isinstance(t, Fraction):
-            out.append(mpf(t.numerator) / t.denominator)
+            v = mpf(t.numerator) / t.denominator
         else:
-            out.append(mpf(t))
+            v = mpf(t)
+        if not mp.isfinite(v):
+            raise ValueError(f"term {k} is not finite: {v}")
+        out.append(v)
     return out
-
-
-def _float_rows(terms, r, d, n_rows, prec):
-    with mp.workprec(prec):
-        rows = []
-        for n in range(n_rows):
-            npow = [mpf(1)]
-            for _ in range(d):
-                npow.append(npow[-1] * n)
-            row = []
-            for i in range(r + 1):
-                t = terms[n + r - i]
-                for j in range(d + 1):
-                    row.append(t * npow[j])
-            rows.append(row)
-        return rows
 
 
 def _normalized_residual(rec: Recurrence, terms, n: int, prec) -> mpf:
@@ -216,16 +216,34 @@ def _normalized_residual(rec: Recurrence, terms, n: int, prec) -> mpf:
 
 def guess_float(terms: Sequence, max_order: int, max_degree: int,
                 residual_tol: float, precision_bits: int = 192) -> GuessResult:
-    """Float-data guessing: column-scaled elimination with a relative
-    pivot threshold 2^(-precision/2); a candidate is accepted only when its
-    normalized residuals on the last 20 (held-out) terms stay within
-    residual_tol.  Coefficients are snapped to small rationals before
+    """Float-data guessing: column-scaled elimination with partial pivoting
+    and a relative pivot threshold 2^(-precision/2); a candidate is accepted
+    only when its normalized residuals on the last 20 (held-out) terms stay
+    within residual_tol.  Coefficients are snapped to small rationals before
     certification, so agreement with guess_exact is exact on holonomic
-    data."""
+    data.
+
+    The terms are rounded to precision_bits once and split into integer
+    mantissas and exponents, so entry (i, j) of row n is exactly
+    m_{n+r-i} n^j at exponent e_{n+r-i}.  Elimination and
+    back-substitution run on Python integers in fixed point at
+    w = precision + guard bits, each column scaled by a power of two so
+    that its largest entry is below 1; the pivot threshold is
+    2^(w - precision//2).  The guard is ncols + bit_length(ncols) for a
+    system of ncols columns: partial pivoting keeps every multiplier at
+    most 1 in magnitude, so a step at most doubles an entry (growth at most
+    2^ncols over the elimination), and an entry takes at most ncols rounded
+    updates; the accumulated rounding thus stays about 2^-precision of each
+    column's scale.  The null vectors are unscaled into exact dyadic
+    rationals before the snap.  Only the held-out residual certificate runs
+    in mpf.  Every box of the search is eliminated: too few terms for the
+    largest box is InsufficientTerms, and a non-finite term a ValueError."""
     p = precision_bits
     with mp.workprec(p):
         vals = _float_terms(terms)
-    _require_terms(len(vals), max_order, max_degree)
+    # each box needs ncols + 2 training rows after the held-out terms
+    _require_terms(len(vals), max_order, max_degree,
+                   spare=_HELD_OUT + max_order + 2)
     prov = {
         "mode": "float",
         "terms_used": len(vals),
@@ -239,75 +257,95 @@ def guess_float(terms: Sequence, max_order: int, max_degree: int,
     n_train = len(vals) - _HELD_OUT
     tol = mpf(residual_tol)
 
-    with mp.workprec(p):
-        if all(v == 0 for v in vals):
-            rec = Recurrence([Poly([1]), Poly([-1])])
-            prov["degenerate_data"] = "all supplied terms are zero"
-            return GuessResult(True, rec, prov)
-        for r in range(max_order + 1):
-            for d in range(max_degree + 1):
-                prov["searched"].append((r, d))
-                rec = _guess_float_box(vals, r, d, n_train, p, tol, prov)
-                if rec is not None:
-                    return GuessResult(True, rec, prov)
+    if all(v == 0 for v in vals):
+        rec = Recurrence([Poly([1]), Poly([-1])])
+        prov["degenerate_data"] = "all supplied terms are zero"
+        return GuessResult(True, rec, prov)
+    # value = mantissa * 2^exponent, mantissa a signed int
+    split = [(-int(man) if sign else int(man), exp)
+             for sign, man, exp, _ in (v._mpf_ for v in vals)]
+    for r in range(max_order + 1):
+        for d in range(max_degree + 1):
+            prov["searched"].append((r, d))
+            rec = _guess_float_box(vals, split, r, d, n_train, p, tol, prov)
+            if rec is not None:
+                return GuessResult(True, rec, prov)
     prov["reason"] = "no candidate met the held-out residual tolerance"
     return GuessResult(False, None, prov)
 
 
-def _guess_float_box(vals, r, d, n_train, p, tol, prov):
+def _rdiv(a: int, b: int) -> int:
+    """a / b rounded to the nearest integer, ties away from zero."""
+    q, rem = divmod(abs(a), abs(b))
+    if 2 * rem >= abs(b):
+        q += 1
+    return q if (a < 0) == (b < 0) else -q
+
+
+def _guess_float_box(vals, split, r, d, n_train, p, tol, prov):
     ncols = (r + 1) * (d + 1)
     n_rows = n_train - r
-    if n_rows < ncols + 2:
-        return None
-    rows = _float_rows(vals, r, d, n_rows, p)
-    scales = []
-    for j in range(ncols):
-        m = max(abs(rows[i][j]) for i in range(n_rows))
-        scales.append(m if m != 0 else mpf(1))
-    for i in range(n_rows):
-        rows[i] = [rows[i][j] / scales[j] for j in range(ncols)]
+    w = p + ncols + ncols.bit_length()
+    # column j is scaled by 2^-E_j, E_j the bit position just above its
+    # largest entry, so every scaled entry is below 1
+    exact_rows = []
+    for n in range(n_rows):
+        npow = [n ** j for j in range(d + 1)]
+        exact_rows.append([(m * q, e) for m, e in
+                           (split[n + r - i] for i in range(r + 1))
+                           for q in npow])
+    scale = [max((v.bit_length() + e for v, e in col if v), default=0)
+             for col in zip(*exact_rows)]
+    rows = []
+    for row in exact_rows:
+        fixed = []
+        for (v, e), E in zip(row, scale):
+            s = e + w - E
+            fixed.append(v << s if s >= 0 else _rdiv(v, 1 << -s))
+        rows.append(fixed)
 
-    threshold = mpf(2) ** (-(p // 2))
+    threshold = 1 << (w - p // 2)
+    half = 1 << (w - 1)
     pivots = []
     free_cols = []
     rank = 0
     for col in range(ncols):
-        piv, pmag = None, threshold
-        for i in range(rank, n_rows):
-            m = abs(rows[i][col])
-            if m > pmag:
-                piv, pmag = i, m
-        if piv is None:
+        piv = max(range(rank, n_rows), key=lambda i: abs(rows[i][col]))
+        if abs(rows[piv][col]) <= threshold:
             free_cols.append(col)
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         prow = rows[rank]
+        pv, ptail = prow[col], prow[col + 1:]
         for i in range(rank + 1, n_rows):
-            c = rows[i][col] / prow[col]
-            if c != 0:
-                rows[i] = [a - c * b for a, b in zip(rows[i], prow)]
+            row = rows[i]
+            if row[col]:
+                c = _rdiv(row[col] << w, pv)  # |c| <= 2^w: |multiplier| <= 1
+                row[col + 1:] = [a - ((c * b + half) >> w)
+                                 for a, b in zip(row[col + 1:], ptail)]
+                row[col] = 0
         pivots.append((rank, col))
         rank += 1
     if not free_cols:
         return None
 
+    top_e = max(scale)
     for fc in free_cols:
-        x = [mpf(0)] * ncols
-        x[fc] = mpf(1)
+        x = [0] * ncols
+        x[fc] = 1 << w
         for (pr, pc) in reversed(pivots):
             if pc >= fc:
                 continue
-            s = mpf(0)
-            for j in range(pc + 1, ncols):
-                if x[j] != 0:
-                    s += rows[pr][j] * x[j]
-            x[pc] = -s / rows[pr][pc]
-        # unscale back to raw coordinates and snap to rationals; the
-        # continued-fraction snap works at full precision, so denominators
-        # up to ~2^(p/2) are recoverable
-        raw = [x[j] / scales[j] for j in range(ncols)]
+            row = rows[pr]
+            s = sum(row[j] * x[j] for j in range(pc + 1, ncols) if x[j])
+            x[pc] = _rdiv(-s, row[pc])
+        # unscale back to raw coordinates x_j 2^-(w + E_j), as integers over
+        # the common 2^-(w + max E); normalised by the largest they are exact
+        # rationals, which the continued-fraction snap reads at full
+        # precision, so denominators up to ~2^(p/2) are recoverable
+        raw = [xj << (top_e - E) for xj, E in zip(x, scale)]
         top = max(abs(v) for v in raw)
-        exact = [Fraction(*to_rational((v / top)._mpf_)) for v in raw]
+        exact = [Fraction(v, top) for v in raw]
         for denom_cap in (10 ** 3, 10 ** 9, 10 ** 15):
             frac = [v.limit_denominator(denom_cap) for v in exact]
             rec = _vector_to_recurrence(frac, r, d)

@@ -1,8 +1,16 @@
 """Shared sequence builders and reference oracles for the test suite."""
 
 import math
+import os
+import sys
+from collections import Counter
 from fractions import Fraction
 
+import mpmath
+from mpmath import mp, mpf
+from mpmath.libmp import to_rational
+
+from holoseq import guess
 from holoseq.annihilators import Recurrence
 from holoseq.kernel import Poly, RatFun
 
@@ -232,3 +240,132 @@ def random_rational_poly(rng, maxdeg, bits=20, zero_frac=0.2):
     return [Fraction(rng.randint(-(1 << bits), 1 << bits), rng.randint(1, 60))
             if rng.random() >= zero_frac else Fraction(0)
             for _ in range(rng.randint(0, maxdeg + 1))]
+
+
+def mpmath_calls(fn, after=None) -> Counter:
+    """Run fn() and count the calls of each function defined in mpmath;
+    with `after`, only the calls made once that function has returned."""
+    calls = Counter()
+    root = os.path.dirname(mpmath.__file__)
+    counting = after is None
+
+    def profile(frame, event, arg):
+        nonlocal counting
+        code = frame.f_code
+        if event == "return" and after is not None and code is after.__code__:
+            counting = True
+        elif counting and event == "call" and code.co_filename.startswith(root):
+            calls[code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _mpf_float_rows(terms, r, d, n_rows, prec):
+    with mp.workprec(prec):
+        rows = []
+        for n in range(n_rows):
+            npow = [mpf(1)]
+            for _ in range(d):
+                npow.append(npow[-1] * n)
+            row = []
+            for i in range(r + 1):
+                t = terms[n + r - i]
+                for j in range(d + 1):
+                    row.append(t * npow[j])
+            rows.append(row)
+        return rows
+
+
+def _mpf_guess_float_box(vals, r, d, n_train, p, tol, prov):
+    ncols = (r + 1) * (d + 1)
+    n_rows = n_train - r
+    if n_rows < ncols + 2:
+        return None
+    rows = _mpf_float_rows(vals, r, d, n_rows, p)
+    scales = []
+    for j in range(ncols):
+        m = max(abs(rows[i][j]) for i in range(n_rows))
+        scales.append(m if m != 0 else mpf(1))
+    for i in range(n_rows):
+        rows[i] = [rows[i][j] / scales[j] for j in range(ncols)]
+
+    threshold = mpf(2) ** (-(p // 2))
+    pivots = []
+    free_cols = []
+    rank = 0
+    for col in range(ncols):
+        piv, pmag = None, threshold
+        for i in range(rank, n_rows):
+            m = abs(rows[i][col])
+            if m > pmag:
+                piv, pmag = i, m
+        if piv is None:
+            free_cols.append(col)
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        for i in range(rank + 1, n_rows):
+            c = rows[i][col] / prow[col]
+            if c != 0:
+                rows[i] = [a - c * b for a, b in zip(rows[i], prow)]
+        pivots.append((rank, col))
+        rank += 1
+    if not free_cols:
+        return None
+
+    for fc in free_cols:
+        x = [mpf(0)] * ncols
+        x[fc] = mpf(1)
+        for (pr, pc) in reversed(pivots):
+            if pc >= fc:
+                continue
+            s = mpf(0)
+            for j in range(pc + 1, ncols):
+                if x[j] != 0:
+                    s += rows[pr][j] * x[j]
+            x[pc] = -s / rows[pr][pc]
+        raw = [x[j] / scales[j] for j in range(ncols)]
+        top = max(abs(v) for v in raw)
+        exact = [Fraction(*to_rational((v / top)._mpf_)) for v in raw]
+        for denom_cap in (10 ** 3, 10 ** 9, 10 ** 15):
+            frac = [v.limit_denominator(denom_cap) for v in exact]
+            rec = guess._vector_to_recurrence(frac, r, d)
+            if rec is None or rec.order > len(vals) - guess._HELD_OUT:
+                continue
+            res = [guess._normalized_residual(rec, vals, n, p)
+                   for n in range(len(vals) - guess._HELD_OUT - rec.order,
+                                  len(vals) - rec.order)]
+            if res and max(res) <= tol:
+                prov["residual_stats"] = {
+                    "max_normalized_residual": float(max(res)),
+                    "held_out_checked": len(res),
+                }
+                return rec
+    return None
+
+
+def mpf_guess_float(terms, max_order, max_degree, residual_tol,
+                    precision_bits=192):
+    """Reference for `guess.guess_float`: column scaling, Gaussian
+    elimination with partial pivoting and back-substitution, all in mpf at
+    precision_bits, then the same snap and held-out certificate.  Returns
+    (found, recurrence, searched)."""
+    p = precision_bits
+    with mp.workprec(p):
+        vals = guess._float_terms(terms)
+    n_train = len(vals) - guess._HELD_OUT
+    tol = mpf(residual_tol)
+    searched, prov = [], {}
+    with mp.workprec(p):
+        for r in range(max_order + 1):
+            for d in range(max_degree + 1):
+                searched.append((r, d))
+                rec = _mpf_guess_float_box(vals, r, d, n_train, p, tol, prov)
+                if rec is not None:
+                    return True, rec, searched
+    return False, None, searched

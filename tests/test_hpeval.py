@@ -1,8 +1,5 @@
 import math
-import os
 import random
-import sys
-from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -26,6 +23,7 @@ from holoseq.hpeval import (
     power_diff_eval,
 )
 from holoseq.primes import sieve
+from seqlib import mpmath_calls
 
 
 def log_seq(k, prec):
@@ -54,23 +52,6 @@ def mpmath_power_seq(alpha):
         with mp.workprec(prec + 16):
             return mpmath.exp(mpmath_alpha(alpha) * mpmath.log(k))
     return f
-
-
-def mpmath_calls(fn) -> Counter:
-    """Run fn() and count the calls of each function defined in mpmath."""
-    calls = Counter()
-    root = os.path.dirname(mpmath.__file__)
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename.startswith(root):
-            calls[frame.f_code.co_name] += 1
-
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return calls
 
 
 class TestBigReal:
