@@ -139,9 +139,9 @@ def binomial_diff_seq(seq, N: int, include_zero_term: bool = True,
         raise ValueError("sequence not defined through the requested index")
     k0 = 0 if include_zero_term else 1
     if stream.mode == "exact":
-        # integers over the common denominator L, swept exactly
+        # integers over the common denominator L, summed exactly
         nums, L = _scaled(stream.terms[k0:N + 1])
-        sums = hpeval._sweep([0] * k0 + nums, range(N + 1))
+        sums = hpeval._sums([0] * k0 + nums, range(N + 1))
         return SequenceStream([Fraction(sums[n], L) for n in range(N + 1)], "exact")
     g = target_bits if target_bits is not None else 64
     out = hpeval.binomial_diff_stream_grid(stream, range(N + 1), g, start=k0)

@@ -1,6 +1,11 @@
+import hashlib
+import json
 import math
+import operator
 import random
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -220,6 +225,136 @@ class TestOracles:
                                     include_zero_term=include_zero).terms
             assert out == nested_loop_transform(terms, N, 0 if include_zero else 1)
             assert all(type(t) is Fraction for t in out)
+
+
+def comb_sum(table, n, op):
+    """sum_k binom(n,k) (-1)^k table[k] (op sub) or sum_k binom(n,k) table[k]
+    (op add) term by term with math.comb: the reference for both paths."""
+    sign = -1 if op is operator.sub else 1
+    return sum(math.comb(n, k) * sign ** k * table[k] for k in range(n + 1))
+
+
+def mixed_table(rng, size, max_bits=3000):
+    """Integers of random sign and random width up to max_bits."""
+    return [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(0, max_bits))
+            for _ in range(size)]
+
+
+OPS = [operator.sub, operator.add]
+
+
+class TestSumPaths:
+    """`hpeval._sums` picks the difference sweep or the paired direct sum by
+    cost; both must give the same integers, so the choice never shows."""
+
+    @staticmethod
+    def spied(monkeypatch):
+        taken = []
+        for name in ("_sweep", "_paired"):
+            def spy(*args, _name=name, _f=getattr(hpeval, name)):
+                taken.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(hpeval, name, spy)
+        return taken
+
+    @pytest.mark.parametrize("op", OPS, ids=["sub", "add"])
+    def test_paths_agree_at_every_small_n(self, op):
+        rng = random.Random(31)
+        for _ in range(4):
+            table = mixed_table(rng, 61)
+            swept = hpeval._sweep(table, list(range(61)), op)
+            for n in range(61):
+                assert hpeval._paired(table, n, op) == swept[n] == comb_sum(table, n, op)
+
+    @pytest.mark.parametrize("op", OPS, ids=["sub", "add"])
+    def test_paths_agree_at_large_odd_and_even_n(self, op):
+        rng = random.Random(32)
+        table = mixed_table(rng, 1002)
+        ns = [998, 999, 1000, 1001]
+        swept = hpeval._sweep(table, ns, op)
+        for n in ns:
+            assert hpeval._paired(table, n, op) == swept[n] == comb_sum(table, n, op)
+
+    @pytest.mark.parametrize("op", OPS, ids=["sub", "add"])
+    def test_both_sides_of_the_switch(self, op, monkeypatch):
+        # 20 sum(ns) against max(ns)^2 = 40000: sum 1764 sums directly,
+        # sum 2145 sweeps
+        rng = random.Random(33)
+        table = mixed_table(rng, 201)
+        for ns, path in ((list(range(192, 201)), "_paired"),
+                         (list(range(190, 201)), "_sweep")):
+            want = {n: comb_sum(table, n, op) for n in ns}
+            taken = self.spied(monkeypatch)
+            assert hpeval._sums(table, ns, op) == want
+            assert set(taken) == {path}
+            monkeypatch.undo()
+
+    def test_complex_pair_on_a_sparse_grid(self):
+        ns = witness.log_grid(100, 700, 12)
+        p = hpeval._alternating_precision(ns[-1], 64)
+        tables = hpeval._f_tables(hpeval.power_seq(mpc(0, 1)), ns[-1], 1, p)
+        assert len(tables) == 2
+        for table in tables:
+            assert ({n: hpeval._paired(table, n, operator.sub) for n in ns}
+                    == hpeval._sweep(table, ns))
+
+    @pytest.mark.parametrize("grid, path", [
+        (witness.log_grid(100, 2450, 24), "_paired"),
+        (witness.log_grid(500, 2450, 48), "_paired"),
+        (range(100, 701), "_sweep"),
+    ], ids=["log_grid(100,2450,24)", "log_grid(500,2450,48)", "100..700"])
+    def test_path_choice(self, grid, path, monkeypatch):
+        taken = self.spied(monkeypatch)
+
+        def k(k, prec):
+            return mpf(k)
+        binomial_diff_grid(k, grid, 64)
+        assert set(taken) == {path}
+
+    def test_tables_released_before_the_sums(self, monkeypatch):
+        built = []
+
+        class Spy(hpeval._LogTable):
+            def __init__(self, prec, guard):
+                super().__init__(prec, guard)
+                built.append(weakref.ref(self))
+
+        sums = hpeval._sums
+
+        def checked(*args):
+            assert built and all(ref() is None for ref in built)
+            return sums(*args)
+
+        monkeypatch.setattr(hpeval, "_LogTable", Spy)
+        monkeypatch.setattr(hpeval, "_sums", checked)
+        f = hpeval.log_seq()  # held here through the sums
+        binomial_diff_grid(f, witness.log_grid(100, 600, 8), 64)
+        f(5, 64)  # a direct call keeps its table with f
+        assert built[-1]() is not None
+
+    GOLDEN = json.loads(
+        (Path(__file__).resolve().parent / "witness_golden.json").read_text())
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_witness_samples(self, name):
+        """Recorded from the sweep-only summation: the grid midpoints and
+        bounds (as a SHA-256 prefix) and every sample of the report."""
+        want = self.GOLDEN[name]
+        if name.startswith("witness_powers"):
+            report = witness.witness_powers(0.5, nmax=2450)
+            f = hpeval.power_seq(0.5)
+        else:
+            report = witness.witness_log(nmax=2450,
+                                         grid=witness.log_grid(100, 2450, 24))
+            f = hpeval.log_seq()
+        assert report.precision_bits == want["precision_bits"]
+        assert [[s["x"], float.hex(s["value"])] for s in report.samples] \
+            == want["samples"]
+        values = binomial_diff_grid(f, [s["x"] for s in report.samples], 64)
+        canon = repr([(n, v.value._mpf_, v.bound._mpf_)
+                      for n, v in sorted(values.items())])
+        assert hashlib.sha256(canon.encode()).hexdigest()[:16] \
+            == want["grid_sha256"]
 
 
 ALPHAS = [1 / 3, Fraction(2, 3), 3 / 2, 1 / 2, mpc(0, 1),
