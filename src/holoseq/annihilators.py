@@ -27,6 +27,7 @@ operator at infinity in `singclass`.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -199,19 +200,36 @@ def unroll(rec: Recurrence, init: Sequence, N: int) -> SequenceStream:
 
 
 def apply(rec: Recurrence, seq, rng) -> list:
-    """Residuals p_0(n) u_{n+d} + ... + p_d(n) u_n for each n in rng."""
+    """Residuals p_0(n) u_{n+d} + ... + p_d(n) u_n for each n >= 0 in rng,
+    for exact terms (ints or Fractions): a Fraction, or the int 0 where
+    every p_i(n) is 0.
+
+    A Recurrence's coefficients are integral, so each p_i(n) is an integer
+    by Horner on its numerators; the residual is summed in integers over
+    the lcm L of the window's denominators, as sum p_i(n) a_k (L / b_k)
+    for the terms a_k / b_k, and one Fraction is built per n."""
     d = rec.order
     terms = seq.terms if isinstance(seq, SequenceStream) else list(seq)
+    polys = [p.nums for p in rec.coeffs]
     out = []
     for n in rng:
+        if n < 0:
+            raise ValueError(f"residual index n = {n} is negative")
         if n + d >= len(terms):
             raise ValueError(f"sequence too short for residual at n = {n}")
-        s = 0
-        for i, p in enumerate(rec.coeffs):
-            c = p(n)
-            if c != 0:
-                s = s + c * terms[n + d - i]
-        out.append(s)
+        live = []
+        for i, nums in enumerate(polys):
+            c = 0
+            for a in reversed(nums):
+                c = c * n + a
+            if c:
+                live.append((c, terms[n + d - i]))
+        if not live:
+            out.append(0)
+            continue
+        L = math.lcm(*[t.denominator for _, t in live])
+        out.append(Fraction(sum(c * t.numerator * (L // t.denominator)
+                                for c, t in live), L))
     return out
 
 

@@ -23,21 +23,81 @@ class FormatError(Exception):
     """Malformed operator JSON or b-file."""
 
 
+# CPython refuses int <-> str conversions above 4300 digits by default
+# (sys.get_int_max_str_digits).  Longer integers go through in pieces of
+# _PIECE digits, split in halves by the powers 10^(_PIECE 2^j) so that the
+# products and divisions stay balanced.
+_PIECE = 4000
+_POW = 10 ** _PIECE
+
+
+def _int_to_str(x: int) -> str:
+    if x < 0:
+        return "-" + _int_to_str(-x)
+    if x < _POW:
+        return str(x)
+    pows = [_POW]
+    while pows[-1] <= x:
+        pows.append(pows[-1] ** 2)
+    return _padded(x, pows, len(pows) - 1).lstrip("0")
+
+
+def _padded(x: int, pows, j: int) -> str:
+    """The _PIECE 2^j digits of 0 <= x < pows[j], with leading zeros."""
+    if j == 0:
+        return str(x).rjust(_PIECE, "0")
+    hi, lo = divmod(x, pows[j - 1])
+    return _padded(hi, pows, j - 1) + _padded(lo, pows, j - 1)
+
+
+def _str_to_int(s: str) -> int:
+    if len(s) <= _PIECE:
+        return int(s)
+    s = s.strip()
+    digits = s[1:] if s[:1] in "+-" else s
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer literal of {len(s)} characters")
+    pows = [_POW]
+    while _PIECE << len(pows) < len(digits):
+        pows.append(pows[-1] ** 2)
+    x = _from_digits(digits, pows)
+    return -x if s[0] == "-" else x
+
+
+def _from_digits(s: str, pows) -> int:
+    """The integer of the decimal digits s, split below the top _PIECE 2^j
+    digits for the largest j with _PIECE 2^j < len(s)."""
+    if len(s) <= _PIECE:
+        return int(s)
+    j = 0
+    while _PIECE << (j + 1) < len(s):
+        j += 1
+    k = _PIECE << j
+    return _from_digits(s[:-k], pows) * pows[j] + _from_digits(s[-k:], pows)
+
+
+def _quoted(s: str, keep: int = 20) -> str:
+    """repr of s, cut to its ends and its length when long."""
+    if len(s) <= 2 * keep + 3:
+        return repr(s)
+    return f"{s[:keep] + '...' + s[-keep:]!r} ({len(s)} characters)"
+
+
 def fraction_to_str(x: Fraction) -> str:
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _int_to_str(x.numerator)
+    return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
 
 
 def str_to_fraction(s: str) -> Fraction:
     try:
         if "/" in s:
             num, den = s.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
+            return Fraction(_str_to_int(num), _str_to_int(den))
+        return Fraction(_str_to_int(s))
     except (ValueError, ZeroDivisionError) as e:
-        raise FormatError(f"bad rational {s!r}") from e
+        raise FormatError(f"bad rational {_quoted(s)}") from e
 
 
 def operator_to_dict(op: Union[Recurrence, DiffOp]) -> dict:

@@ -7,18 +7,24 @@ within tolerance on held-out terms (float mode).  A NotFound result is
 recorded in the provenance block.
 
 Exact mode screens each box by a rank modulo a 61-bit prime and runs the
-fraction-free nullspace over Z only on survivors.  Float mode splits the
-terms once into integer mantissas and exponents and eliminates in
-fixed-point integers: columns scaled by powers of two, partial pivoting,
-w = precision + guard bits.  Partial pivoting bounds every multiplier by 1
-in magnitude, so a step at most doubles an entry; the guard,
-ncols + bit_length(ncols), covers that growth and the rounding of the
-updates (see `guess_float`).  Only the held-out residual certificate runs
-in mpf.
+fraction-free nullspace over Z only on survivors.  The terms are reduced
+mod p once; each box streams its rows mod p into an echelon form that
+stops at full column rank, so a box that holds nothing costs about as many
+small rows as it has columns, and the big-integer ansatz matrix is built
+only for a survivor.
+
+Float mode splits the terms once into integer mantissas and exponents and
+eliminates in fixed-point integers: columns scaled by powers of two,
+partial pivoting, w = precision + guard bits.  Partial pivoting bounds
+every multiplier by 1 in magnitude, so a step at most doubles an entry;
+the guard, ncols + bit_length(ncols), covers that growth and the rounding
+of the updates (see `guess_float`).  Only the held-out residual
+certificate runs in mpf.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -70,29 +76,50 @@ def _ansatz_rows(terms, r: int, d: int, n_rows: int):
     return rows
 
 
+def _residues(terms, p: int) -> list:
+    """Each term as num * den^-1 mod p, or None where p divides its
+    denominator."""
+    return [t.numerator * pow(t.denominator, -1, p) % p
+            if t.denominator % p else None for t in terms]
+
+
+def _rows_mod_p(terms, res, r: int, d: int, p: int):
+    """The rows of `_ansatz_rows(terms, r, d, len(terms) - r)` mod p, one
+    at a time.  A row built from the residues `res` is the integer row
+    divided by its window's denominator lcm, a unit mod p; where p divides
+    a denominator of the window, the row is the integer row mod p itself.
+    Either way the rank mod p is that of the integer matrix."""
+    for n in range(len(terms) - r):
+        window = res[n:n + r + 1]
+        if None in window:
+            window = [t % p for t in _scaled(terms[n:n + r + 1])[0]]
+        npow = [1]
+        for _ in range(d):
+            npow.append(npow[-1] * n % p)
+        yield [t * m % p for t in reversed(window) for m in npow]
+
+
 def _rank_mod_p(rows, ncols: int, p: int) -> int:
-    mat = [[x % p for x in row] for row in rows]
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        prow = [x * inv % p for x in mat[rank]]
-        mat[rank] = prow
-        for i in range(rank + 1, len(mat)):
-            c = mat[i][col]
+    """Rank mod p of a stream of rows, by echelon form: each row is reduced
+    against the pivot rows found so far (ascending pivot column, each
+    normalised to 1 there), and the stream is read no further once the
+    rank reaches ncols, so a full-rank system costs about ncols rows."""
+    pivots = []  # (column, row), ascending column
+    for row in rows:
+        for col, prow in pivots:
+            c = row[col]
             if c:
-                mat[i] = [(a - c * b) % p for a, b in zip(mat[i], prow)]
-        rank += 1
-        if rank == min(len(mat), ncols):
+                row[col:] = [(a - c * b) % p
+                             for a, b in zip(row[col:], prow[col:])]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        inv = pow(row[lead], -1, p)
+        # lead is no pivot column yet, so the tuples order by it alone
+        insort(pivots, (lead, [x * inv % p for x in row]))
+        if len(pivots) == ncols:
             break
-    return rank
+    return len(pivots)
 
 
 def _vector_to_recurrence(vec, r: int, d: int) -> Optional[Recurrence]:
@@ -121,10 +148,15 @@ def guess_exact(terms: Sequence, max_order: int, max_degree: int) -> GuessResult
     """Search the (order <= max_order, degree <= max_degree) box for a
     recurrence with exactly zero residuals on all supplied terms.
 
-    The box is scanned in ascending (order, degree); each grid point is
-    first screened by a rank computation modulo a 61-bit prime (full
-    column rank modulo p proves full rank over Q, so nothing exists
-    there), and only survivors pay for fraction-free elimination over Q.
+    The box is scanned in ascending (order, degree), after the largest
+    system: each grid point is first screened by a rank computation modulo
+    a 61-bit prime p (full column rank modulo p proves full rank over Q, so
+    nothing exists there), and only survivors pay for fraction-free
+    elimination over Z.  The screen reduces each term to num * den^-1 mod p
+    once and reads a box's rows mod p one at a time, reducing each against
+    the pivots so far and stopping when the rank reaches the column count;
+    a window with a denominator divisible by p gives its integer row mod p
+    instead, so the rank is always that of the integer ansatz matrix.
     """
     terms = [t if isinstance(t, Fraction) else Fraction(t) for t in terms]
     _require_terms(len(terms), max_order, max_degree)
@@ -141,12 +173,16 @@ def guess_exact(terms: Sequence, max_order: int, max_degree: int) -> GuessResult
         prov["degenerate_data"] = "all supplied terms are zero; any operator fits"
         return GuessResult(True, rec, prov)
 
+    p = _FILTER_PRIME
+    res = _residues(terms, p)
+
+    def full_rank(r, d):
+        ncols = (r + 1) * (d + 1)
+        return _rank_mod_p(_rows_mod_p(terms, res, r, d, p), ncols, p) == ncols
+
     # Nothing in the box exists if the largest system has full column rank.
-    ncols_max = (max_order + 1) * (max_degree + 1)
-    rows_max = _ansatz_rows(terms, max_order, max_degree,
-                            len(terms) - max_order)
     prov["searched"].append((max_order, max_degree))
-    if _rank_mod_p(rows_max, ncols_max, _FILTER_PRIME) == ncols_max:
+    if full_rank(max_order, max_degree):
         prov["reason"] = "ansatz system has full column rank"
         return GuessResult(False, None, prov)
 
@@ -155,12 +191,9 @@ def guess_exact(terms: Sequence, max_order: int, max_degree: int) -> GuessResult
         for d in range(max_degree + 1):
             if (r, d) != (max_order, max_degree):
                 prov["searched"].append((r, d))
-            ncols = (r + 1) * (d + 1)
-            rows = rows_max if (r, d) == (max_order, max_degree) else \
-                _ansatz_rows(terms, r, d, len(terms) - r)
-            if _rank_mod_p(rows, ncols, _FILTER_PRIME) == ncols:
-                continue
-            basis = nullspace(rows)
+                if full_rank(r, d):
+                    continue
+            basis = nullspace(_ansatz_rows(terms, r, d, len(terms) - r))
             for vec in basis:
                 rec = _vector_to_recurrence(vec, r, d)
                 if rec is None or not _certify_exact(rec, terms):

@@ -369,3 +369,78 @@ def mpf_guess_float(terms, max_order, max_degree, residual_tol,
                 if rec is not None:
                     return True, rec, searched
     return False, None, searched
+
+
+def full_matrix_rank_mod_p(terms, r, d, p=guess._FILTER_PRIME):
+    """Reference exact-guess filter: the rank mod p of the whole integer
+    ansatz matrix (`guess._ansatz_rows`), every row reduced at once."""
+    ncols = (r + 1) * (d + 1)
+    mat = [[x % p for x in row]
+           for row in guess._ansatz_rows(terms, r, d, len(terms) - r)]
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = pow(mat[rank][col], p - 2, p)
+        prow = [x * inv % p for x in mat[rank]]
+        mat[rank] = prow
+        for i in range(rank + 1, len(mat)):
+            c = mat[i][col]
+            if c:
+                mat[i] = [(a - c * b) % p for a, b in zip(mat[i], prow)]
+        rank += 1
+        if rank == min(len(mat), ncols):
+            break
+    return rank
+
+
+def full_matrix_guess_exact(terms, max_order, max_degree):
+    """Reference `guess_exact` on the full-matrix filter: (found,
+    recurrence, provenance)."""
+    terms = [Fraction(t) for t in terms]
+    prov = {"mode": "exact", "terms_used": len(terms), "max_order": max_order,
+            "max_degree": max_degree, "searched": []}
+    if all(t == 0 for t in terms):
+        prov["degenerate_data"] = "all supplied terms are zero; any operator fits"
+        return True, Recurrence([Poly([1]), Poly([-1])]), prov
+    prov["searched"].append((max_order, max_degree))
+    top = (max_order + 1) * (max_degree + 1)
+    if full_matrix_rank_mod_p(terms, max_order, max_degree) == top:
+        prov["reason"] = "ansatz system has full column rank"
+        return False, None, prov
+    best = None
+    for r in range(max_order + 1):
+        for d in range(max_degree + 1):
+            if (r, d) != (max_order, max_degree):
+                prov["searched"].append((r, d))
+            if full_matrix_rank_mod_p(terms, r, d) == (r + 1) * (d + 1):
+                continue
+            for vec in guess.nullspace(guess._ansatz_rows(terms, r, d, len(terms) - r)):
+                rec = guess._vector_to_recurrence(vec, r, d)
+                if rec is None or not guess._certify_exact(rec, terms):
+                    continue
+                key = (rec.order, rec.degree, guess._operator_size(rec))
+                if best is None or key < best[0]:
+                    best = (key, rec)
+            if best is not None:
+                prov["residual_stats"] = {"max_abs": 0, "certified_terms": len(terms)}
+                return True, best[1], prov
+    prov["reason"] = "modular filter passed but no exact certificate survived"
+    return False, None, prov
+
+
+def fraction_apply(rec, terms, rng):
+    """Reference residuals: Fraction arithmetic term by term, p_i(n) read
+    from the Fraction coefficients."""
+    d = rec.order
+    out = []
+    for n in rng:
+        s = 0
+        for i, p in enumerate(rec.coeffs):
+            c = sum(Fraction(a) * n ** k for k, a in enumerate(p.coeffs))
+            if c != 0:
+                s = s + c * terms[n + d - i]
+        out.append(s)
+    return out

@@ -20,6 +20,7 @@ from holoseq.annihilators import (
 )
 from holoseq.kernel import Poly, poly_gcd
 from holoseq.series import Series
+import seqlib
 from seqlib import random_diffop, random_recurrence
 
 
@@ -74,6 +75,49 @@ class TestApply:
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
         res = apply(catalan_rec(), SequenceStream.exact(primes), range(10))
         assert any(r != 0 for r in res)
+
+    def test_negative_index_rejected(self):
+        # f_{n+1} = 2 f_n on 2^k: n = -1 would read f_{-1} as the last term
+        rec = Recurrence([P(1), P(-2)])
+        terms = [2 ** k for k in range(6)]
+        assert apply(rec, terms, range(0, 5)) == [0] * 5
+        with pytest.raises(ValueError, match="negative"):
+            apply(rec, terms, range(-1, 3))
+
+    @staticmethod
+    def same(got, want):
+        assert got == want
+        assert [type(x) for x in got] == [type(x) for x in want]
+
+    def test_agrees_with_fraction_sum(self):
+        rng = random.Random(29)
+        for _ in range(30):
+            rec = random_recurrence(rng)
+            n_terms = rec.order + 25
+            ints = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(n_terms)]
+            # unrelated denominators: random, primes, and products of both
+            fracs = [Fraction(rng.randint(-10 ** 20, 10 ** 20),
+                              rng.choice([1, rng.randint(1, 10 ** 12),
+                                          (1 << 61) - 1, 3 * 5 * 7 * 11]))
+                     for _ in range(n_terms)]
+            for terms in (ints, fracs, [Fraction(t) for t in ints]):
+                self.same(apply(rec, terms, range(25)),
+                          seqlib.fraction_apply(rec, terms, range(25)))
+                self.same(apply(rec, SequenceStream.exact(terms), range(3, 20)),
+                          seqlib.fraction_apply(rec, terms, range(3, 20)))
+
+    def test_every_coefficient_vanishing_gives_int_zero(self):
+        # (n-2) f_{n+1} + (n-2)(n-3) f_n: both vanish at n = 2
+        rec = Recurrence([P(-2, 1), P(6, -5, 1)])
+        terms = [Fraction(1, k + 2) for k in range(8)]
+        got = apply(rec, terms, range(6))
+        self.same(got, seqlib.fraction_apply(rec, terms, range(6)))
+        assert type(got[2]) is int and got[2] == 0
+        assert all(type(x) is Fraction for k, x in enumerate(got) if k != 2)
+
+    def test_zero_terms_give_fraction_zero(self):
+        rec = Recurrence([P(1, 1), P(-1)])
+        self.same(apply(rec, [0] * 6, range(4)), [Fraction(0)] * 4)
 
 
 class TestRecToOde:

@@ -9,7 +9,9 @@ from holoseq.annihilators import DiffOp, Recurrence
 from holoseq.cli import main
 from holoseq.formats import (
     FormatError,
+    dump_operator,
     fraction_to_str,
+    load_operator,
     operator_from_dict,
     operator_to_dict,
     parse_bfile,
@@ -33,6 +35,23 @@ class TestRationalStrings:
         with pytest.raises(FormatError):
             str_to_fraction("a/b")
 
+    def test_above_the_int_str_digit_limit(self):
+        # CPython refuses int <-> str above 4300 digits by default
+        rng = random.Random(43)
+        for digits in (4000, 4001, 4301, 8001, 20000):
+            num = rng.randrange(10 ** (digits - 1), 10 ** digits)
+            assert len(fraction_to_str(Fraction(num))) == digits
+            for x in (Fraction(num), Fraction(-num, 7), Fraction(3, num + 1)):
+                assert str_to_fraction(fraction_to_str(x)) == x
+        assert fraction_to_str(Fraction(10 ** 5000)) == "1" + "0" * 5000
+        assert fraction_to_str(Fraction(-(10 ** 8000) + 1)) == "-" + "9" * 8000
+        assert str_to_fraction("+" + "0" * 4990 + "12/-" + "0" * 4500 + "4") == Fraction(-3)
+
+    def test_bad_long_rational_quoted_short(self):
+        with pytest.raises(FormatError) as e:
+            str_to_fraction("1" * 5000 + "x")
+        assert len(str(e.value)) < 100 and "5001 characters" in str(e.value)
+
 
 class TestOperatorJson:
     def test_recurrence_roundtrip(self):
@@ -40,6 +59,15 @@ class TestOperatorJson:
         d = operator_to_dict(rec)
         assert d["kind"] == "recurrence" and d["order"] == 1
         back = operator_from_dict(d)
+        assert back == rec and back.initial_terms == rec.initial_terms
+
+    def test_coefficient_above_the_digit_limit_roundtrips(self, tmp_path):
+        big = 7 ** 5916
+        assert 10 ** 4999 < big < 10 ** 5000
+        rec = Recurrence([P(1), P(-big, 1)], initial_terms=[Fraction(1, big)])
+        path = str(tmp_path / "big.json")
+        dump_operator(rec, path)
+        back = load_operator(path)
         assert back == rec and back.initial_terms == rec.initial_terms
 
     def test_ode_roundtrip(self):
@@ -209,6 +237,30 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["terms"] == ["1"] + ["0"] * 9
+
+    def big_bfile(self, tmp_path):
+        # 3^(9500+n) has 4533+ digits, above CPython's default int <-> str
+        # limit of 4300
+        return write(tmp_path / "big.bfile", "".join(
+            f"{n} {fraction_to_str(Fraction(3 ** (9500 + n)))}\n"
+            for n in range(30)))
+
+    def test_guess_terms_above_the_digit_limit(self, tmp_path, capsys):
+        code = main(["--json", "guess", "--input", self.big_bfile(tmp_path),
+                     "--max-order", "1", "--max-degree", "0"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["found"] is True
+        assert payload["operator"]["coefficients"] == [["1"], ["-3"]]
+
+    def test_transform_terms_above_the_digit_limit(self, tmp_path, capsys):
+        code = main(["--json", "transform", "--input", self.big_bfile(tmp_path),
+                     "--count", "6"])
+        assert code == 0
+        terms = [str_to_fraction(t)
+                 for t in json.loads(capsys.readouterr().out)["terms"]]
+        # sum_k binom(n,k) (-1)^k 3^(9500+k) = 3^9500 (-2)^n
+        assert terms == [3 ** 9500 * (-2) ** n for n in range(7)]
 
     def test_transfer(self, capsys):
         code = main(["--json", "transfer", "--alpha", "1", "--beta", "-1"])

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from holoseq import guess, witness
 from holoseq.annihilators import Recurrence, apply, unroll
 from holoseq.guess import InsufficientTerms, guess_exact, guess_float
 from holoseq.kernel import Poly
+import seqlib
 
 
 def P(*coeffs):
@@ -108,6 +110,89 @@ class TestGuessExact:
             assert res.found
             dd = res.recurrence.order
             assert apply(res.recurrence, terms, range(60 - dd)) == [0] * (60 - dd)
+
+
+class TestStreamedFilter:
+    """The streamed mod-p echelon against the full-matrix reference in
+    seqlib: the same rank on every box up to (4,4), and the same guess."""
+
+    P61 = guess._FILTER_PRIME
+
+    @classmethod
+    def inputs(cls):
+        p = cls.P61
+        rng = random.Random(13)
+        harmonic = [Fraction(0)]
+        for k in range(1, 80):
+            harmonic.append(harmonic[-1] + Fraction(1, k))
+        rand = [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+                for _ in range(80)]
+        # denominators that are multiples of the filter prime: every 7th
+        # term of random-p, f_5 of hyper-p, and every term of geometric-p
+        rand_p = [t / p if k % 7 == 3 else t for k, t in enumerate(rand)]
+        return {
+            "bell": [Fraction(b) for b in witness.bell_numbers(80)],
+            "children-rounds": witness.children_rounds_coefficients(80),
+            "harmonic": harmonic,
+            "catalan": catalan_terms(80),
+            "random": rand,
+            "random-p": rand_p,
+            "hyper-p": [Fraction(1, p - 5 + n) for n in range(80)],
+            "geometric-p": [Fraction(3 ** n, 2 * p) for n in range(80)],
+        }
+
+    def streamed_rank(self, terms, r, d):
+        p = self.P61
+        rows = guess._rows_mod_p(terms, guess._residues(terms, p), r, d, p)
+        return guess._rank_mod_p(rows, (r + 1) * (d + 1), p)
+
+    def test_rank_equals_full_matrix_rank_on_every_box(self):
+        checked = 0
+        for name, terms in self.inputs().items():
+            for r in range(5):
+                for d in range(5):
+                    want = seqlib.full_matrix_rank_mod_p(terms, r, d)
+                    assert self.streamed_rank(terms, r, d) == want, (name, r, d)
+                    checked += 1
+        assert checked == 200
+
+    def test_fallback_rows_are_taken(self):
+        terms = self.inputs()["hyper-p"]
+        res = guess._residues(terms, self.P61)
+        assert [k for k, x in enumerate(res) if x is None] == [5]
+
+    def test_guess_equals_full_matrix_guess(self):
+        found = set()
+        for name, terms in self.inputs().items():
+            res = guess_exact(terms, 4, 4)
+            ok, rec, prov = seqlib.full_matrix_guess_exact(terms, 4, 4)
+            assert (res.found, res.recurrence, res.provenance) == (ok, rec, prov), name
+            if ok:
+                found.add(name)
+        assert found == {"harmonic", "catalan", "hyper-p", "geometric-p"}
+
+    def test_full_rank_box_reads_few_rows_and_builds_no_integer_matrix(self, monkeypatch):
+        # Bell(300) at (4,4): the 25-column system is full rank after about
+        # 25 rows of its 296, and no big-integer ansatz matrix is built
+        pulled, built = [0], [0]
+        rows_mod_p, ansatz_rows = guess._rows_mod_p, guess._ansatz_rows
+
+        def counted_rows(*args):
+            for row in rows_mod_p(*args):
+                pulled[0] += 1
+                yield row
+
+        def counted_ansatz(*args):
+            built[0] += 1
+            return ansatz_rows(*args)
+
+        monkeypatch.setattr(guess, "_rows_mod_p", counted_rows)
+        monkeypatch.setattr(guess, "_ansatz_rows", counted_ansatz)
+        res = guess_exact(witness.bell_numbers(300), 4, 4)
+        assert not res.found
+        assert res.provenance["reason"] == "ansatz system has full column rank"
+        assert pulled[0] <= 25 + 5
+        assert built[0] == 0
 
 
 class TestGuessFloat:
