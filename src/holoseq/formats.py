@@ -112,16 +112,32 @@ def operator_to_dict(op: Union[Recurrence, DiffOp]) -> dict:
     return d
 
 
+def _strings(x, what: str) -> list:
+    """x, checked to be a JSON list of strings: a string where a list
+    belongs would otherwise be read as the list of its characters."""
+    if not isinstance(x, list) or not all(isinstance(s, str) for s in x):
+        raise FormatError(
+            f"malformed operator JSON: {what} must be a list of rational "
+            f"strings")
+    return x
+
+
 def operator_from_dict(d: dict) -> Union[Recurrence, DiffOp]:
     try:
         kind = d["kind"]
-        coeffs = [Poly([str_to_fraction(c) for c in p])
-                  for p in d["coefficients"]]
+        rows = d["coefficients"]
     except (KeyError, TypeError) as e:
         raise FormatError(f"malformed operator JSON: {e}") from e
+    if not isinstance(rows, list):
+        raise FormatError("malformed operator JSON: coefficients must be a "
+                          "list of coefficient lists")
+    coeffs = [Poly([str_to_fraction(c) for c in _strings(p, "a coefficient")])
+              for p in rows]
     if kind == "recurrence":
         init = d.get("initial_terms")
-        init = [str_to_fraction(t) for t in init] if init is not None else None
+        if init is not None:
+            init = [str_to_fraction(t)
+                    for t in _strings(init, "initial_terms")]
         return Recurrence(coeffs, initial_terms=init)
     if kind == "ode":
         return DiffOp(coeffs)

@@ -11,9 +11,10 @@ and D_n = sum_k binom(n,k) (-1)^k F_k is summed exactly at every n of a
 grid (Flajolet and Sedgewick, "Mellin transforms and asymptotics: finite
 differences and Rice's integrals", TCS 144, 1995).  `_sums` takes the
 cheaper of two exact paths: a forward-difference sweep, max(ns)^2/2
-additions, for a dense grid, and for a sparse one a direct sum, n/2
-products at each n because the symmetric binomial row multiplies
-F_k +- F_(n-k) once; the direct sum runs when 20 sum(ns) < max(ns)^2.
+additions, for a dense grid, and for a sparse one a direct sum at each n,
+binary splitting over the n/2 + 1 terms binom(n,k) (F_k +- F_(n-k)) of
+the symmetric binomial row; the direct sum runs when
+20 sum(ns) < max(ns)^2.
 Each F_k is within 1/2 + 16 M_n of 2^p f(k), M_n bounding |f(k)| for
 k <= n, so the error of D_n 2^-p is at most 2^(n-p) (1/2 + 16 M_n): the
 bound is known before the sums, and no retry is needed.
@@ -196,8 +197,10 @@ def _indices(ns) -> list:
     return ns
 
 
-# one product of a binomial by a table entry, in sweep additions (`_sums`)
+# the cost of `_paired` per unit of n, in sweep additions (`_sums`)
 _PRODUCT_COST = 20
+# terms summed by recurrence at a leaf of `_paired`'s product tree
+_LEAF = 16
 
 
 def _sums(table, ns, op=sub) -> dict:
@@ -206,11 +209,13 @@ def _sums(table, ns, op=sub) -> dict:
 
     Both paths are exact integer sums, so the result does not depend on
     the choice.  The sweep costs max(ns)^2/2 additions whatever the grid;
-    the direct sum costs n/2 products of a binomial by a table entry at each
-    n, sum(ns)/2 in all.  Timed on log, sqrt and cube-root tables, one
-    product cost 8-13 additions at 796 bits and 31-44 at 2550 bits; with
-    c = 20 between the two, the direct sum runs when c sum(ns) < max(ns)^2.
-    A dense grid (sum(ns) about max(ns)^2/2) always sweeps."""
+    the direct sum costs about c n additions at each n, c sum(ns) in all,
+    and runs when c sum(ns) < max(ns)^2 with c = 20.  Timed on log and sqrt
+    tables on sparse grids, the binary split of `_paired` breaks even with
+    the sweep at c = 8-9 at 394 bits, 9-12 at 796 bits, 12-13 at 1598 bits
+    and 13-20 at 2550 bits, where the sparse grids live, so the direct sum
+    it chooses is the faster one.  A dense grid (sum(ns) about
+    max(ns)^2/2) always sweeps."""
     nmax = ns[-1]
     if _PRODUCT_COST * sum(ns) < nmax * nmax:
         return {n: _paired(table, n, op) for n in ns}
@@ -218,21 +223,38 @@ def _sums(table, ns, op=sub) -> dict:
 
 
 def _paired(table, n: int, op) -> int:
-    """The sum of `_sums` at one n.  Since binom(n,k) = binom(n,n-k), each
-    binomial for k < n/2 multiplies t_k = table[k] + s table[n-k] once
-    (s = (-1)^n for `sub`, 1 for `add`), and t_h = table[h] alone for even
-    n, h = n // 2; the binomial is updated in place.  For `sub` the loop
-    keeps total = t_k - total, so t_k carries (-1)^(h-k), and one final
-    sign (-1)^h makes it (-1)^k: no signed copy of the table is made."""
+    """The sum of `_sums` at one n, by binary splitting.
+
+    Since binom(n,k) = binom(n,n-k), the sum is sum_{k<=h} binom(n,k) u_k
+    over h = n // 2 with u_k = table[k] + s table[n-k] (s = (-1)^n for
+    `sub`, 1 for `add`), u_h = table[h] alone for even n, and u_k signed by
+    (-1)^k for `sub`.  Over a range [a, b) of k, P = prod (n-j),
+    Q = prod (j+1) and T = sum_k u_k P(a,k) Q(k,b), so two halves combine
+    as (P1 P2, Q1 Q2, T1 Q2 + P1 T2), and the sum is T(0,h+1) / Q(0,h+1),
+    an exact division (Haible and Papanikolaou, "Fast multiprecision
+    evaluation of series of rational numbers", ANTS-III, 1998).  A leaf of
+    `_LEAF` terms runs T = (T + P u_k) (k+1): products of the p-bit u_k by
+    small integers.  The u_k are read from the table in the leaves, so no
+    list of them is made."""
     twin = sub if op is sub and n & 1 else add
-    h = n >> 1
-    c, total = 1, 0
-    for k in range(h + (n & 1)):
-        total = op(c * twin(table[k], table[n - k]), total)
-        c = c * (n - k) // (k + 1)
-    if not n & 1:
-        total = op(c * table[h], total)
-    return -total if op is sub and h & 1 else total
+    alt = op is sub
+
+    def split(a, b):
+        if b - a <= _LEAF:
+            P, Q, T = 1, 1, 0
+            for k in range(a, b):
+                u = twin(table[k], table[n - k]) if 2 * k < n else table[k]
+                T = (T - P * u if alt and k & 1 else T + P * u) * (k + 1)
+                P *= n - k
+                Q *= k + 1
+            return P, Q, T
+        m = (a + b) >> 1
+        P1, Q1, T1 = split(a, m)
+        P2, Q2, T2 = split(m, b)
+        return P1 * P2, Q1 * Q2, T1 * Q2 + P1 * T2
+
+    _, Q, T = split(0, (n >> 1) + 1)
+    return T // Q
 
 
 def _sweep(table, ns, op=sub) -> dict:
@@ -342,8 +364,8 @@ def binomial_diff_grid(f: Callable, ns: Iterable[int], target_bits: int,
     with F_k = 0 for k < start, at p = n + target_bits + 2 log2 n + 12 bits
     for the largest n.  `_sums` adds them up exactly, by one
     forward-difference sweep when 20 sum(ns) >= max(ns)^2 (a dense grid)
-    and by the direct binomial sum at each n otherwise.  The error bound
-    is therefore known before the sums:
+    and otherwise by the direct binomial sum at each n, a binary split.
+    The error bound is therefore known before the sums:
     |value - sum| <= 2^(n-p) (1/2 + 16 M_n), with M_n an upper bound on
     |f(k)| for k <= n read from the table (1 in place of 1/2 for complex
     f).  It is at most 2^-target_bits whenever |f(k)| <= 256 n^2 for
@@ -385,7 +407,8 @@ def binomial_diff_stream_grid(stream, ns: Iterable[int], target_bits: int,
 
     The terms are rounded to F_k = round(t_k 2^p) at the working precision
     p of `binomial_diff_grid` and summed exactly by `_sums`, which sweeps
-    a dense grid and sums a sparse one directly (20 sum(ns) < max(ns)^2);
+    a dense grid and sums a sparse one directly by binary splitting
+    (20 sum(ns) < max(ns)^2);
     the same sums with + in place of - over ceil(b_k 2^p) + 1 give the
     bound 2^-p sum_k binom(n,k) (ceil(b_k 2^p) + 1) exactly.  The achievable
     accuracy is limited by the data: if that bound exceeds

@@ -7,6 +7,7 @@ operator to a truncation.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -81,17 +82,27 @@ class Series:
 
     def exp(self) -> "Series":
         """exp(self) for a series with zero constant term, via the
-        coefficient recurrence of g' = u' g."""
+        coefficient recurrence of g' = u' g: m g_m = sum_k k u_k g_(m-k).
+        Each sum is taken in integers over the lcm L of its terms'
+        denominators, as sum k a_k c (L / (b_k d)) for u_k = a_k / b_k and
+        g_(m-k) = c / d, and one Fraction is built per m."""
         if self.coeffs[0] != 0:
             raise ValueError("series exp needs zero constant term")
         n = self.length
+        du = [(k, k * c.numerator, c.denominator)
+              for k, c in enumerate(self.coeffs) if c != 0]
         g = [Fraction(1)] + [Fraction(0)] * (n - 1)
         for m in range(1, n):
-            s = Fraction(0)
-            for k in range(1, m + 1):
-                if self.coeffs[k] != 0:
-                    s += k * self.coeffs[k] * g[m - k]
-            g[m] = s / m
+            live = []
+            for k, a, b in du:
+                if k > m:
+                    break
+                c = g[m - k]
+                if c:
+                    live.append((a * c.numerator, b * c.denominator))
+            if live:
+                L = math.lcm(*[d for _, d in live])
+                g[m] = Fraction(sum(t * (L // d) for t, d in live), L * m)
         return Series(g, n)
 
     def __repr__(self):

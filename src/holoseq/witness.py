@@ -17,6 +17,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import List
 
 import numpy as np
@@ -259,15 +260,14 @@ def children_rounds_coefficients(N: int) -> List[Fraction]:
 
 
 def bell_numbers(N: int) -> List[int]:
-    """First N Bell numbers via the binomial recurrence."""
+    """First N Bell numbers from the Bell triangle (Aitken's array): each
+    row starts with the last entry of the row above and adds that row's
+    entries one by one, and B_n starts row n.  Additions only."""
     bell = [1]
-    for n in range(N - 1):
-        binom = 1
-        s = 0
-        for k in range(n + 1):
-            s += binom * bell[k]
-            binom = binom * (n - k) // (k + 1)
-        bell.append(s)
+    row = [1]
+    for _ in range(N - 1):
+        row = list(accumulate(row, initial=row[-1]))
+        bell.append(row[0])
     return bell
 
 

@@ -1,6 +1,7 @@
 """Shared sequence builders and reference oracles for the test suite."""
 
 import math
+import operator
 import os
 import sys
 from collections import Counter
@@ -444,3 +445,45 @@ def fraction_apply(rec, terms, rng):
                 s = s + c * terms[n + d - i]
         out.append(s)
     return out
+
+
+def product_paired(table, n, op):
+    """Reference for `hpeval._paired`: one binomial per k < n/2, updated in
+    place, times table[k] +- table[n-k], a full-width product at each k."""
+    twin = operator.sub if op is operator.sub and n & 1 else operator.add
+    h = n >> 1
+    c, total = 1, 0
+    for k in range(h + (n & 1)):
+        total = op(c * twin(table[k], table[n - k]), total)
+        c = c * (n - k) // (k + 1)
+    if not n & 1:
+        total = op(c * table[h], total)
+    return -total if op is operator.sub and h & 1 else total
+
+
+def recurrence_bell_numbers(N):
+    """Reference for `witness.bell_numbers`: the binomial recurrence
+    B_(n+1) = sum_k binom(n,k) B_k."""
+    bell = [1]
+    for n in range(N - 1):
+        binom = 1
+        s = 0
+        for k in range(n + 1):
+            s += binom * bell[k]
+            binom = binom * (n - k) // (k + 1)
+        bell.append(s)
+    return bell
+
+
+def fraction_series_exp(u):
+    """Reference for `Series.exp`: the coefficient recurrence
+    m g_m = sum_k k u_k g_(m-k), one Fraction operation per term."""
+    n = u.length
+    g = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for m in range(1, n):
+        s = Fraction(0)
+        for k in range(1, m + 1):
+            if u.coeffs[k] != 0:
+                s += k * u.coeffs[k] * g[m - k]
+        g[m] = s / m
+    return g

@@ -230,6 +230,25 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["order"] <= 2
 
+    @pytest.mark.parametrize("fields", [
+        {"initial_terms": [1]},
+        {"initial_terms": 5},
+        {"initial_terms": "7"},
+        {"coefficients": ["12", "3"]},
+        {"coefficients": [["1"], [-1]]},
+        {"coefficients": "ab"},
+    ], ids=["initial-numbers", "initial-number", "initial-string",
+            "coefficient-strings", "coefficient-number", "coefficients-string"])
+    def test_closure_operator_not_lists_exit_3(self, tmp_path, capsys, fields):
+        d = {"kind": "recurrence", "order": 1,
+             "coefficients": [["1"], ["-1"]], **fields}
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(d))
+        code = main(["closure", "sum", "--a", str(path), "--b", str(path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "input error" in err and "Traceback" not in err
+
     def test_transform_terms(self, tmp_path, capsys):
         bf = write(tmp_path / "ones.bfile",
                    "\n".join(f"{n} 1" for n in range(10)) + "\n")

@@ -28,7 +28,7 @@ from holoseq.hpeval import (
     power_diff_eval,
 )
 from holoseq.primes import sieve
-from seqlib import mpmath_calls
+from seqlib import mpmath_calls, product_paired
 
 
 def log_seq(k, prec):
@@ -355,6 +355,49 @@ class TestSumPaths:
                       for n, v in sorted(values.items())])
         assert hashlib.sha256(canon.encode()).hexdigest()[:16] \
             == want["grid_sha256"]
+
+
+class TestBinarySplit:
+    """`hpeval._paired` sums the symmetric binomial row by binary splitting;
+    it must give the integers of the product loop it replaced."""
+
+    @staticmethod
+    def check(table, ns, op):
+        for n in ns:
+            assert (hpeval._paired(table, n, op) == product_paired(table, n, op)
+                    == comb_sum(table, n, op))
+
+    @pytest.mark.parametrize("op", OPS, ids=["sub", "add"])
+    def test_every_n_across_leaf_and_node_boundaries(self, op):
+        # n // 2 + 1 terms: one leaf, two, and up to 3 leaf + 4 terms, for
+        # odd and even n
+        top = 2 * (3 * hpeval._LEAF + 3) + 1
+        rng = random.Random(34)
+        self.check(mixed_table(rng, top + 1), range(top + 1), op)
+
+    def test_around_5000(self):
+        # `comb_sum` takes 2 s per n here in math.comb, so one binomial row
+        # is made by it and the next two by Pascal's rule
+        rng = random.Random(35)
+        table = mixed_table(rng, 5002)
+        row = [math.comb(4999, k) for k in range(5000)]
+        for n in (4999, 5000, 5001):
+            for op in OPS:
+                sign = -1 if op is operator.sub else 1
+                want = sum(c * sign ** k * t
+                           for k, (c, t) in enumerate(zip(row, table)))
+                assert (hpeval._paired(table, n, op)
+                        == product_paired(table, n, op) == want)
+            row = [a + b for a, b in zip(row + [0], [0] + row)]
+
+    def test_complex_pair(self):
+        ns = witness.log_grid(100, 700, 12)
+        p = hpeval._alternating_precision(ns[-1], 64)
+        tables = hpeval._f_tables(hpeval.power_seq(mpc(0, 1)), ns[-1], 1, p)
+        assert len(tables) == 2
+        for table in tables:
+            for op in OPS:
+                self.check(table, ns, op)
 
 
 ALPHAS = [1 / 3, Fraction(2, 3), 3 / 2, 1 / 2, mpc(0, 1),

@@ -1,9 +1,12 @@
 import json
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from holoseq import hpeval
+from holoseq.series import Series
 from holoseq.witness import (
     bell_numbers,
     children_rounds_coefficients,
@@ -12,6 +15,7 @@ from holoseq.witness import (
     witness_powers,
     witness_primes,
 )
+from seqlib import fraction_series_exp, recurrence_bell_numbers
 
 
 class TestWitnessLog:
@@ -139,3 +143,20 @@ class TestWitnessMisc:
 
     def test_bell_numbers(self):
         assert bell_numbers(8) == [1, 1, 2, 5, 15, 52, 203, 877]
+
+    def test_bell_triangle_matches_the_binomial_recurrence(self):
+        for N in (0, 1, 2, 3, 50, 300):
+            assert bell_numbers(N) == recurrence_bell_numbers(N)
+
+    def test_children_rounds_matches_the_fraction_exp(self):
+        u = Series([0, 0] + [Fraction(1, m) for m in range(1, 119)], 120)
+        assert children_rounds_coefficients(120) == fraction_series_exp(u)
+
+    def test_series_exp_matches_the_fraction_exp(self):
+        rng = random.Random(41)
+        for _ in range(20):
+            n = rng.randint(1, 40)
+            u = Series([0] + [Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                              if rng.random() < 0.6 else 0
+                              for _ in range(n - 1)], n)
+            assert u.exp().coeffs == fraction_series_exp(u)
