@@ -66,9 +66,15 @@ def _parse_point(s: str):
         return "infinity"
     num, sep, den = s.partition("/")
     try:
-        num, den = int(num), int(den) if sep else 1
+        if "e" in s.lower():
+            # read exactly, 1e999999999 would be a billion-digit integer
+            raise ValueError
+        if not sep:
+            return Fraction(s)  # a decimal exactly: 0.1 is 1/10
+        num, den = int(num), int(den)
     except ValueError:
-        raise NonRationalPoint(f"point {s!r} is not rational")
+        raise NonRationalPoint(f"point {s!r} is not p/q, a decimal without "
+                               "an exponent, or infinity")
     return _ratio(num, den)
 
 
@@ -281,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     k = add_parser("classify", help="singular-point report of an operator")
     k.add_argument("--ode", required=True)
-    k.add_argument("--point", required=True)
+    k.add_argument("--point", required=True,
+                   help="p/q, a decimal without an exponent, or infinity")
     k.set_defaults(func=cmd_classify)
 
     tr = add_parser("transfer", help="singular element of a scale")

@@ -133,14 +133,18 @@ def operator_from_dict(d: dict) -> Union[Recurrence, DiffOp]:
                           "list of coefficient lists")
     coeffs = [Poly([str_to_fraction(c) for c in _strings(p, "a coefficient")])
               for p in rows]
-    if kind == "recurrence":
-        init = d.get("initial_terms")
-        if init is not None:
-            init = [str_to_fraction(t)
-                    for t in _strings(init, "initial_terms")]
-        return Recurrence(coeffs, initial_terms=init)
-    if kind == "ode":
-        return DiffOp(coeffs)
+    try:
+        if kind == "recurrence":
+            init = d.get("initial_terms")
+            if init is not None:
+                init = [str_to_fraction(t)
+                        for t in _strings(init, "initial_terms")]
+            return Recurrence(coeffs, initial_terms=init)
+        if kind == "ode":
+            return DiffOp(coeffs)
+    except ValueError as e:
+        # an all-zero or empty coefficient list is no operator
+        raise FormatError(f"malformed operator JSON: {e}") from e
     raise FormatError(f"unknown operator kind {kind!r}")
 
 

@@ -7,11 +7,11 @@ within tolerance on held-out terms (float mode).  A NotFound result is
 recorded in the provenance block.
 
 Exact mode screens each box by a rank modulo a 61-bit prime and runs the
-fraction-free nullspace over Z only on survivors.  The terms are reduced
-mod p once; each box streams its rows mod p into an echelon form that
-stops at full column rank, so a box that holds nothing costs about as many
-small rows as it has columns, and the big-integer ansatz matrix is built
-only for a survivor.
+fraction-free nullspace over Z only on survivors.  One generator,
+`_ansatz_rows`, lays out the integer ansatz rows; the screen reduces each
+row mod p as it is read and streams it into an echelon form that stops at
+full column rank, so a box that holds nothing costs about as many rows as
+it has columns, and the whole matrix is built only for a survivor.
 
 Float mode splits the terms once into integer mantissas and exponents and
 eliminates in fixed-point integers: columns scaled by powers of two,
@@ -66,37 +66,13 @@ def _require_terms(n_terms: int, max_order: int, max_degree: int,
 
 
 def _ansatz_rows(terms, r: int, d: int, n_rows: int):
-    """Integer matrix rows of the linear system: row n has entries
-    n^j * f_{n+r-i} for columns (i, j), scaled to clear denominators."""
-    rows = []
+    """Integer matrix rows of the linear system, one at a time: row n has
+    entries n^j * f_{n+r-i} for columns (i, j), scaled to clear the
+    denominators of its window."""
     for n in range(n_rows):
         window, _ = _scaled(terms[n:n + r + 1])
         npow = [n ** j for j in range(d + 1)]
-        rows.append([t * m for t in reversed(window) for m in npow])
-    return rows
-
-
-def _residues(terms, p: int) -> list:
-    """Each term as num * den^-1 mod p, or None where p divides its
-    denominator."""
-    return [t.numerator * pow(t.denominator, -1, p) % p
-            if t.denominator % p else None for t in terms]
-
-
-def _rows_mod_p(terms, res, r: int, d: int, p: int):
-    """The rows of `_ansatz_rows(terms, r, d, len(terms) - r)` mod p, one
-    at a time.  A row built from the residues `res` is the integer row
-    divided by its window's denominator lcm, a unit mod p; where p divides
-    a denominator of the window, the row is the integer row mod p itself.
-    Either way the rank mod p is that of the integer matrix."""
-    for n in range(len(terms) - r):
-        window = res[n:n + r + 1]
-        if None in window:
-            window = [t % p for t in _scaled(terms[n:n + r + 1])[0]]
-        npow = [1]
-        for _ in range(d):
-            npow.append(npow[-1] * n % p)
-        yield [t * m % p for t in reversed(window) for m in npow]
+        yield [t * m for t in reversed(window) for m in npow]
 
 
 def _rank_mod_p(rows, ncols: int, p: int) -> int:
@@ -152,11 +128,11 @@ def guess_exact(terms: Sequence, max_order: int, max_degree: int) -> GuessResult
     system: each grid point is first screened by a rank computation modulo
     a 61-bit prime p (full column rank modulo p proves full rank over Q, so
     nothing exists there), and only survivors pay for fraction-free
-    elimination over Z.  The screen reduces each term to num * den^-1 mod p
-    once and reads a box's rows mod p one at a time, reducing each against
-    the pivots so far and stopping when the rank reaches the column count;
-    a window with a denominator divisible by p gives its integer row mod p
-    instead, so the rank is always that of the integer ansatz matrix.
+    elimination over Z.  The screen reads a box's integer rows from
+    `_ansatz_rows` one at a time, reduces each mod p and against the
+    pivots so far, and stops when the rank reaches the column count; the
+    rows are those of the integer ansatz matrix, whatever the terms'
+    denominators, so the rank mod p is that matrix's rank mod p.
     """
     terms = [t if isinstance(t, Fraction) else Fraction(t) for t in terms]
     _require_terms(len(terms), max_order, max_degree)
@@ -174,11 +150,12 @@ def guess_exact(terms: Sequence, max_order: int, max_degree: int) -> GuessResult
         return GuessResult(True, rec, prov)
 
     p = _FILTER_PRIME
-    res = _residues(terms, p)
 
     def full_rank(r, d):
         ncols = (r + 1) * (d + 1)
-        return _rank_mod_p(_rows_mod_p(terms, res, r, d, p), ncols, p) == ncols
+        rows = _ansatz_rows(terms, r, d, len(terms) - r)
+        return _rank_mod_p(([x % p for x in row] for row in rows),
+                           ncols, p) == ncols
 
     # Nothing in the box exists if the largest system has full column rank.
     prov["searched"].append((max_order, max_degree))
@@ -193,7 +170,7 @@ def guess_exact(terms: Sequence, max_order: int, max_degree: int) -> GuessResult
                 prov["searched"].append((r, d))
                 if full_rank(r, d):
                     continue
-            basis = nullspace(_ansatz_rows(terms, r, d, len(terms) - r))
+            basis = nullspace(list(_ansatz_rows(terms, r, d, len(terms) - r)))
             for vec in basis:
                 rec = _vector_to_recurrence(vec, r, d)
                 if rec is None or not _certify_exact(rec, terms):

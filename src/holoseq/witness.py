@@ -91,8 +91,6 @@ def witness_log(nmax: int = 2000, grid=None, target_bits: int = 64) -> WitnessRe
     d_n = transform(n) - loglog(n) must stay inside (0, 2) with small
     spread, while the loglog scale itself is incompatible with any
     holonomic singular expansion."""
-    if nmax > 5000:
-        raise ValueError("nmax capped at 5000 for this witness")
     t0 = time.monotonic()
     ns = _grid(grid, nmax, 100, range(100, nmax + 1))
     if ns[0] < 2:
@@ -130,9 +128,17 @@ def log_grid(lo: int, hi: int, points: int) -> List[int]:
     return sorted(set(int(round(x)) for x in np.geomspace(lo, hi, points)))
 
 
+# largest n of the binomial-difference witnesses: their f-table holds n
+# entries of about n bits each, and the sums cost about n^3 bit operations
+_NMAX = 5000
+
+
 def _grid(grid, nmax: int, lo: int, default) -> List[int]:
     """The sorted sample indices: `grid` if given, else `default`, the
-    default grid lo..nmax, which needs nmax >= lo."""
+    default grid lo..nmax, which needs nmax >= lo.  Neither nmax nor a grid
+    point may exceed _NMAX."""
+    if nmax > _NMAX:
+        raise ValueError(f"nmax = {nmax} is above the cap {_NMAX}")
     if grid is None:
         if nmax < lo:
             raise ValueError(f"nmax = {nmax} is below {lo}, the lower end of "
@@ -141,6 +147,8 @@ def _grid(grid, nmax: int, lo: int, default) -> List[int]:
     ns = sorted(set(int(n) for n in grid))
     if not ns:
         raise ValueError("empty grid")
+    if ns[-1] > _NMAX:
+        raise ValueError(f"grid point {ns[-1]} is above the cap {_NMAX}")
     return ns
 
 

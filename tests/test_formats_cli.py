@@ -188,6 +188,18 @@ class TestCli:
         assert "lower end of the default grid" in capsys.readouterr().err
         assert main(["witness", "powers", "--nmax", "300"]) == 2
 
+    def test_witness_nmax_above_cap_exit_2(self, capsys, monkeypatch):
+        from holoseq import hpeval
+
+        def never(*args):
+            raise AssertionError("a sum ran")
+
+        monkeypatch.setattr(hpeval, "binomial_diff_grid", never)
+        assert main(["witness", "powers", "--nmax", "5001"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: nmax = 5001 is above the cap 5000\n"
+
     @pytest.mark.parametrize("argv", [
         ["witness", "primes", "--nmax", "0"],
         ["witness", "log", "--nmax", "0"],
@@ -248,6 +260,25 @@ class TestCli:
         assert code == 3
         err = capsys.readouterr().err
         assert "input error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind,coefficients", [
+        ("recurrence", [["0"], ["0"]]),
+        ("recurrence", []),
+        ("ode", [[], []]),
+        ("ode", []),
+    ], ids=["recurrence-zero", "recurrence-empty", "ode-zero", "ode-empty"])
+    def test_no_operator_exit_3(self, tmp_path, capsys, kind, coefficients):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"kind": kind, "order": 1,
+                                    "coefficients": coefficients}))
+        if kind == "recurrence":
+            argv = ["closure", "sum", "--a", str(path), "--b", str(path)]
+        else:
+            argv = ["classify", "--ode", str(path), "--point", "0"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: malformed operator JSON")
+        assert err.count("\n") == 1
 
     def test_transform_terms(self, tmp_path, capsys):
         bf = write(tmp_path / "ones.bfile",
@@ -340,6 +371,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("usage error: zero denominator")
         assert err.count("\n") == 1
+
+    def test_decimal_point_read_exactly(self, tmp_path, capsys):
+        path = tmp_path / "ode.json"
+        path.write_text(json.dumps(operator_to_dict(DiffOp([P(-3, 2), P(1)]))))
+        reports = []
+        for point in ("1.5", "3/2", "0.1", "1/10"):
+            assert main(["--json", "classify", "--ode", str(path),
+                         "--point", point]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1] and reports[2] == reports[3]
+        assert json.loads(reports[0])["kind"] == "regular_singular"
+        assert json.loads(reports[2])["location"] == "1/10"
+
+    @pytest.mark.parametrize("point", ["abc", "nan", "1.5.2", "1e5"])
+    def test_not_a_point_exit_3(self, tmp_path, capsys, point):
+        # an exponent is refused: read exactly, 1e999999999 would be a
+        # billion-digit integer
+        path = tmp_path / "ode.json"
+        path.write_text(json.dumps(operator_to_dict(DiffOp([P(0, 1), P(1)]))))
+        assert main(["classify", "--ode", str(path), "--point", point]) == 3
+        assert capsys.readouterr().err.startswith("input error: point")
 
     def test_guess_negative_box_exit_2(self, tmp_path, capsys):
         bf = write(tmp_path / "ones.bfile",

@@ -143,8 +143,23 @@ class TestStreamedFilter:
 
     def streamed_rank(self, terms, r, d):
         p = self.P61
-        rows = guess._rows_mod_p(terms, guess._residues(terms, p), r, d, p)
-        return guess._rank_mod_p(rows, (r + 1) * (d + 1), p)
+        rows = guess._ansatz_rows(terms, r, d, len(terms) - r)
+        return guess._rank_mod_p(([x % p for x in row] for row in rows),
+                                 (r + 1) * (d + 1), p)
+
+    def test_rows_are_the_scaled_ansatz(self):
+        # row n, column (i, j): n^j f_{n+r-i} times the lcm of the
+        # denominators of f_n..f_{n+r}, an integer
+        for name, terms in self.inputs().items():
+            for r, d in ((0, 0), (1, 2), (4, 4)):
+                rows = list(guess._ansatz_rows(terms, r, d, len(terms) - r))
+                assert len(rows) == len(terms) - r, (name, r, d)
+                for n, row in enumerate(rows):
+                    lcm = math.lcm(*[t.denominator for t in terms[n:n + r + 1]])
+                    want = [n ** j * terms[n + r - i] * lcm
+                            for i in range(r + 1) for j in range(d + 1)]
+                    assert all(type(x) is int for x in row), (name, r, d, n)
+                    assert row == want, (name, r, d, n)
 
     def test_rank_equals_full_matrix_rank_on_every_box(self):
         checked = 0
@@ -155,11 +170,6 @@ class TestStreamedFilter:
                     assert self.streamed_rank(terms, r, d) == want, (name, r, d)
                     checked += 1
         assert checked == 200
-
-    def test_fallback_rows_are_taken(self):
-        terms = self.inputs()["hyper-p"]
-        res = guess._residues(terms, self.P61)
-        assert [k for k, x in enumerate(res) if x is None] == [5]
 
     def test_guess_equals_full_matrix_guess(self):
         found = set()
@@ -173,26 +183,26 @@ class TestStreamedFilter:
 
     def test_full_rank_box_reads_few_rows_and_builds_no_integer_matrix(self, monkeypatch):
         # Bell(300) at (4,4): the 25-column system is full rank after about
-        # 25 rows of its 296, and no big-integer ansatz matrix is built
-        pulled, built = [0], [0]
-        rows_mod_p, ansatz_rows = guess._rows_mod_p, guess._ansatz_rows
+        # 25 rows of its 296, and no elimination over Z runs
+        pulled, eliminated = [0], [0]
+        ansatz_rows, nullspace = guess._ansatz_rows, guess.nullspace
 
         def counted_rows(*args):
-            for row in rows_mod_p(*args):
+            for row in ansatz_rows(*args):
                 pulled[0] += 1
                 yield row
 
-        def counted_ansatz(*args):
-            built[0] += 1
-            return ansatz_rows(*args)
+        def counted_nullspace(*args):
+            eliminated[0] += 1
+            return nullspace(*args)
 
-        monkeypatch.setattr(guess, "_rows_mod_p", counted_rows)
-        monkeypatch.setattr(guess, "_ansatz_rows", counted_ansatz)
+        monkeypatch.setattr(guess, "_ansatz_rows", counted_rows)
+        monkeypatch.setattr(guess, "nullspace", counted_nullspace)
         res = guess_exact(witness.bell_numbers(300), 4, 4)
         assert not res.found
         assert res.provenance["reason"] == "ansatz system has full column rank"
-        assert pulled[0] <= 25 + 5
-        assert built[0] == 0
+        assert 25 <= pulled[0] <= 25 + 5
+        assert eliminated[0] == 0
 
 
 class TestGuessFloat:

@@ -68,6 +68,27 @@ class TestDefaultGrids:
         with pytest.raises(ValueError, match="lower end of the default grid"):
             witness_powers(0.5, nmax=300)
 
+    @pytest.mark.parametrize("run", [
+        lambda: witness_log(nmax=5001),
+        lambda: witness_log(grid=[100, 5001]),
+        lambda: witness_log(nmax=200, grid=[100, 6000]),
+        lambda: witness_powers(0.5, nmax=5001),
+        lambda: witness_powers(0.5, grid=[500, 5001]),
+    ], ids=["log-nmax", "log-grid", "log-grid-past-nmax", "powers-nmax",
+            "powers-grid"])
+    def test_sizes_above_cap_rejected_before_any_sum(self, run, monkeypatch):
+        def never(*args):
+            raise AssertionError("a sum ran")
+
+        monkeypatch.setattr(hpeval, "binomial_diff_grid", never)
+        with pytest.raises(ValueError, match="above the cap 5000"):
+            run()
+
+    def test_cap_itself_runs(self):
+        rep = witness_log(nmax=5000, grid=[100, 5000])
+        assert [s["x"] for s in rep.samples] == [100, 5000]
+        assert rep.passed()
+
     def test_explicit_grid_below_default_start(self):
         rep = witness_log(nmax=60, grid=[30, 60])
         assert [s["x"] for s in rep.samples] == [30, 60]
