@@ -179,7 +179,8 @@ def verify_transfer(u: Union[Sequence, np.ndarray], scale: AsymptoticScale,
 
     |theta| <= pi/4 keeps z inside the theorem's sector.  `u` must supply
     values through index N_kmax = ceil(2^kmax kmax^2); numpy arrays take a
-    vectorized float64 path, higher precisions a scalar path."""
+    vectorized float64 path, higher precisions a scalar path in which
+    mpmath rounds exact (int or Fraction) terms at precision_bits."""
     if not 1 <= kmin <= kmax:
         raise ValueError(f"need 1 <= kmin <= kmax, got kmin = {kmin}, "
                          f"kmax = {kmax}")

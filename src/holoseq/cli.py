@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success (a well-formed NotFound included), 2 usage error,
-3 malformed input file, 4 precision or cap exhausted.
+Exit codes: 0 success (a well-formed NotFound included, and a stdout
+closed by its reader, such as `| head`: the output stops quietly), 2 usage
+error, 3 malformed input file, 4 precision or cap exhausted.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -163,10 +165,11 @@ def cmd_verify(args) -> int:
     scale = AsymptoticScale(_maybe_fraction(args.alpha),
                             _maybe_fraction(args.beta),
                             _maybe_fraction(args.gamma))
-    rep = verify_transfer(np.array([float(t) for t in seq]), scale,
-                          sector_angle=args.theta, kmax=args.kmax,
-                          kmin=args.kmin,
-                          precision_bits=_given(args.precision_bits, 53))
+    bits = _given(args.precision_bits, 53)
+    # above float64 the exact terms are summed at the requested precision
+    u = seq.terms if bits > 53 else np.array([float(t) for t in seq])
+    rep = verify_transfer(u, scale, sector_angle=args.theta, kmax=args.kmax,
+                          kmin=args.kmin, precision_bits=bits)
     _emit(rep.to_dict(), args)
     return EXIT_OK
 
@@ -189,7 +192,7 @@ def cmd_witness(args) -> int:
         rep = witness_log(nmax=_given(args.nmax, 2000))
     elif args.experiment == "powers":
         rep = witness_powers(alpha=_maybe_fraction(_given(args.alpha, 0.5)),
-                             nmax=_given(args.nmax, 5000))
+                             nmax=args.nmax)
     elif args.experiment == "primes":
         rep = witness_primes(nmax=_given(args.nmax, 10 ** 6))
     else:
@@ -330,7 +333,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at the null device so the
+        # flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (FormatError, FileNotFoundError, NonRationalPoint) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -3,18 +3,19 @@ recurrence solutions, the signed binomial difference transform, rational
 substitution into differential operators, and multiplication of a solution
 by a rational function.
 
-Every closure operator, multiplication by a rational function included,
-is found by exact elimination over a rational function field: the shifts
-of a solution (its derivatives, for an ODE) live in a finite-dimensional
-module over Q(n) (Q(w)), so enough shifts of the combined object must be
-linearly dependent, and the dependency is an annihilator with a provable
-order bound.  `_dependencies` hands the coordinate vectors to
-`kernel.nullspace`, which returns each dependency as a primitive vector of
-polynomials; that vector becomes the operator's coefficient list as it is.
-At the ODE level one chain-rule core, `_compose`, builds the operator of
-r(w) * y(rho(w)): substitution is r = 1, multiplication by a rational
-function is rho = w, and the binomial transform is one call with both.
-No term data is consulted.
+Every closure operator is found by exact elimination: the shifts of a
+solution (its derivatives, for an ODE) live in a finite-dimensional module
+over Q(n) (Q(w)), so enough shifts of the combined object are linearly
+dependent, and the dependency is an annihilator with a provable order
+bound.  Every elimination goes through `_dependencies` to
+`kernel.nullspace`, which returns primitive vectors of polynomials.  For
+recurrences, `_shift_vectors` keeps the k-th shift as Poly numerators over
+the known denominator p_0(n) ... p_0(n+k-r), so no rational function is
+formed, and one core `_closure` serves the sum and the termwise product.
+At the ODE level one chain-rule core over Q(w), `_compose`, builds the
+operator of r(w) * y(rho(w)): substitution is r = 1, multiplication by a
+rational function is rho = w, and the binomial transform is one call with
+both.  No term data is consulted.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional
 
 from . import hpeval
 from .annihilators import DiffOp, Recurrence, SequenceStream, ode_to_rec, rec_to_ode, unroll
-from .kernel import Poly, RatFun, _as_ratfun, _scaled, nullspace
+from .kernel import Poly, RatFun, _as_ratfun, _primitive, _scaled, nullspace
 
 
 class DegenerateSubstitution(Exception):
@@ -32,29 +33,26 @@ class DegenerateSubstitution(Exception):
 
 
 def _shift_vectors(rec: Recurrence, K: int):
-    """Vectors of S^k u (k = 0..K) in the basis u_n, ..., u_{n+r-1}, with
-    entries in Q(n).  Reduction of u_{n+r+j} uses the recurrence shifted to
-    start at n+j."""
+    """Pairs (N_k, D_k), k = 0..K: S^k u = sum_i N_k[i] u_{n+i} / D_k over
+    the basis u_n, ..., u_{n+r-1}, with N_k a list of Polys and the known
+    denominator D_k = p_0(n) p_0(n+1) ... p_0(n+k-r), or 1 for k < r.
+    Reducing u_{n+r} multiplies through by p_0(n), so no Q(n) arithmetic
+    runs."""
     r = rec.order
     if r == 0:
         # p_0(n) u_n = 0 means u is identically zero from some point; treat
         # the module as one-dimensional with S u = u * 0
-        return [[RatFun(1 if k == 0 else 0)] for k in range(K + 1)]
-    # u_{n+r} = sum_i red[i] u_{n+i}, red[i] = -p_{r-i}(n)/p_0(n)
-    p0 = RatFun(rec.coeffs[0])
-    red = [-(RatFun(rec.coeffs[r - i]) / p0) for i in range(r)]
-    vecs = []
-    for k in range(min(r, K + 1)):
-        v = [RatFun(0)] * r
-        v[k] = RatFun(1)
-        vecs.append(v)
+        return [([Poly([1 if k == 0 else 0])], Poly([1])) for k in range(K + 1)]
+    # p_0(n) u_{n+r} = -sum_i p_{r-i}(n) u_{n+i}, with ps[i] = p_{r-i}
+    p0, ps = rec.coeffs[0], rec.coeffs[:0:-1]
+    vecs = [([Poly([int(i == k)]) for i in range(r)], Poly([1]))
+            for k in range(min(r, K + 1))]
     for k in range(r, K + 1):
-        shifted = [c.shift_arg(1) for c in vecs[-1]]
+        num, den = vecs[-1]
+        shifted = [c.shift_arg(1) for c in num]
         lead = shifted[r - 1]
-        v = [RatFun(0)] + shifted[:r - 1]
-        if not lead.is_zero():
-            v = [c + lead * q for c, q in zip(v, red)]
-        vecs.append(v)
+        v = [p0 * c - lead * q for c, q in zip([Poly()] + shifted[:r - 1], ps)]
+        vecs.append((v, den * p0.shift_arg(k - r)))
     return vecs
 
 
@@ -82,40 +80,40 @@ def _best_annihilator(basis, initial_terms=None) -> Recurrence:
     return min(recs, key=lambda t: (t[0], *_op_key(t[1])))[1]
 
 
-def _combined_initial_terms(a, b, m, combine):
-    if a.initial_terms is None or b.initial_terms is None:
-        return None
-    n_init = max(len(a.initial_terms), len(b.initial_terms), m)
-    ua = unroll(a, a.initial_terms, n_init - 1).terms
-    ub = unroll(b, b.initial_terms, n_init - 1).terms
-    return [combine(x, y) for x, y in zip(ua, ub)]
+def _closure(a, b, m, column, combine) -> Recurrence:
+    """Annihilator of combine(u, v) from the dependencies of its shifts
+    k = 0..m.  `column(N^a_k, D^a_k, N^b_k, D^b_k)` gives the numerators of
+    S^k combine(u, v) over D_k = D^a_k D^b_k, so a dependency c' of the
+    columns is the dependency c_k = c'_k D_k of the shifts."""
+    va, vb = _shift_vectors(a, m), _shift_vectors(b, m)
+    dens = [da * db for (_, da), (_, db) in zip(va, vb)]
+    basis = [_primitive([c * d for c, d in zip(v, dens)])
+             for v in _dependencies([column(*x, *y) for x, y in zip(va, vb)])]
+    init = None
+    if a.initial_terms is not None and b.initial_terms is not None:
+        n_init = max(len(a.initial_terms), len(b.initial_terms), m)
+        ua = unroll(a, a.initial_terms, n_init - 1).terms
+        ub = unroll(b, b.initial_terms, n_init - 1).terms
+        init = [combine(x, y) for x, y in zip(ua, ub)]
+    return _best_annihilator(basis, init)
 
 
 def closure_sum(a: Recurrence, b: Recurrence) -> Recurrence:
     """Recurrence of order <= order(a) + order(b) annihilating u + v for
     every solution u of a and v of b."""
-    r1, r2 = a.order, b.order
-    m = r1 + r2
+    m = a.order + b.order
     if m == 0:
         return Recurrence([Poly([1])])
-    va = _shift_vectors(a, m)
-    vb = _shift_vectors(b, m)
-    basis = _dependencies([va[k] + vb[k] for k in range(m + 1)])
-    init = _combined_initial_terms(a, b, m, lambda x, y: x + y)
-    return _best_annihilator(basis, init)
+    return _closure(a, b, m, lambda na, da, nb, db: [p * db for p in na] + [p * da for p in nb],
+                    lambda x, y: x + y)
 
 
 def closure_hadamard(a: Recurrence, b: Recurrence) -> Recurrence:
     """Recurrence of order <= order(a) * order(b) annihilating the termwise
     product u_n v_n."""
-    r1, r2 = max(a.order, 1), max(b.order, 1)
-    m = r1 * r2
-    va = _shift_vectors(a, m)
-    vb = _shift_vectors(b, m)
-    basis = _dependencies([[x * y for x in va[k] for y in vb[k]]
-                           for k in range(m + 1)])
-    init = _combined_initial_terms(a, b, m, lambda x, y: x * y)
-    return _best_annihilator(basis, init)
+    m = max(a.order, 1) * max(b.order, 1)
+    return _closure(a, b, m, lambda na, da, nb, db: [x * y for x in na for y in nb],
+                    lambda x, y: x * y)
 
 
 # ---------------------------------------------------------------------------

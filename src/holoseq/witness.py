@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 from mpmath import mpf
@@ -152,15 +152,19 @@ def _grid(grid, nmax: int, lo: int, default) -> List[int]:
     return ns
 
 
-def witness_powers(alpha=0.5, nmax: int = 5000, grid=None,
+def witness_powers(alpha=0.5, nmax: Optional[int] = None, grid=None,
                    target_bits: int = 64) -> WitnessReport:
     """Powers n^alpha: for non-integer alpha the normalized alternating
-    differences rho_n = -w_n Gamma(1-alpha) (log n)^alpha tend to 1, and
-    the fractional log power in the transferred scale is foreign to
-    holonomic expansions; for integer alpha the sequence is holonomic and
-    the guesser must find a certified recurrence."""
+    differences rho_n = -w_n Gamma(1-alpha) (log n)^alpha tend to 1 on the
+    grid up to nmax (5000 if None), and the fractional log power in the
+    transferred scale is foreign to holonomic expansions; for integer alpha
+    the sequence is holonomic and the guesser must find a certified
+    recurrence from 100 terms, so nmax and grid are refused there."""
     t0 = time.monotonic()
     if hpeval.degenerate_power(alpha):
+        if nmax is not None or grid is not None:
+            raise ValueError(f"alpha = {alpha} is an integer: the guess reads "
+                             "100 terms, so nmax and grid do not apply")
         a = int(alpha)
         terms = [Fraction(0)] + [Fraction(n) ** a for n in range(1, 100)]
         res = guess_exact(terms, 4, max(4, abs(a)))
@@ -178,6 +182,7 @@ def witness_powers(alpha=0.5, nmax: int = 5000, grid=None,
                             "provenance": "positive evidence by exact certificate"}},
             0, int((time.monotonic() - t0) * 1000))
 
+    nmax = 5000 if nmax is None else nmax
     ns = _grid(grid, nmax, 500, log_grid(500, nmax, 48))
     values, p = _grid_and_precision(hpeval.power_seq(alpha), ns, target_bits)
     a_frac = (Fraction(alpha) if not isinstance(alpha, float)

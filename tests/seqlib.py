@@ -148,6 +148,31 @@ def full_degree_rec(rng, order):
                       initial_terms=init)
 
 
+def ratfun_shift_vectors(rec, K):
+    """Reference for `closure._shift_vectors` in Q(n) arithmetic: the
+    vectors of S^k u (k = 0..K) in the basis u_n, ..., u_{n+r-1}, as
+    lists of `RatFun`s.  Each step shifts the previous vector and reduces
+    u_{n+r} by u_{n+r} = -sum_i p_{r-i}(n)/p_0(n) u_{n+i}."""
+    r = rec.order
+    if r == 0:
+        return [[RatFun(1 if k == 0 else 0)] for k in range(K + 1)]
+    p0 = RatFun(rec.coeffs[0])
+    red = [-(RatFun(rec.coeffs[r - i]) / p0) for i in range(r)]
+    vecs = []
+    for k in range(min(r, K + 1)):
+        v = [RatFun(0)] * r
+        v[k] = RatFun(1)
+        vecs.append(v)
+    for k in range(r, K + 1):
+        shifted = [c.shift_arg(1) for c in vecs[-1]]
+        lead = shifted[r - 1]
+        v = [RatFun(0)] + shifted[:r - 1]
+        if not lead.is_zero():
+            v = [c + lead * q for c, q in zip(v, red)]
+        vecs.append(v)
+    return vecs
+
+
 class FractionPoly:
     """Reference oracle for `Poly`: a tuple of Fraction coefficients in
     ascending degree, trailing zeros dropped, with schoolbook arithmetic,

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from holoseq.abelian import (
     AlphaNegative,
     AsymptoticScale,
+    _partial_sum_mpmath,
     transfer,
     truncation_depth,
     verify_transfer,
@@ -55,6 +57,14 @@ class TestVerifyTransfer:
         rep = verify_transfer(ones, AsymptoticScale(0, 0, 0), 0.0, kmax=12)
         # exact generating function: deviation is just the truncation tail
         assert all(abs(s.ratio - 1) <= 1e-5 for s in rep.samples)
+
+    def test_exact_terms_summed_at_working_precision(self):
+        # u_0 + u_1 z cancels exactly, leaving 2^-70 z^2; float64 terms
+        # leave 2.7e4 times that
+        z = 1 - 2.0 ** -3
+        u = [Fraction(1, 5), -Fraction(1, 5) / Fraction(z), Fraction(1, 2 ** 70)]
+        want = 2.0 ** -70 * z * z
+        assert abs(_partial_sum_mpmath(u, z, 2, 120) - want) <= 1e-12 * want
 
     def test_linear_ratio_one(self):
         N = truncation_depth(12)

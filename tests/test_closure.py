@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -28,7 +30,9 @@ from holoseq.closure import (
 )
 from holoseq.kernel import Poly, RatFun, _as_ratfun, clear_denominators, nullspace
 from holoseq.series import Series, geometric
-from seqlib import full_degree_rec, random_diffop, random_ratfun
+from holoseq.formats import operator_to_dict
+from seqlib import (full_degree_rec, random_diffop, random_ratfun, random_recurrence,
+                    ratfun_shift_vectors)
 
 
 def P(*coeffs):
@@ -235,6 +239,103 @@ class TestClosureHadamard:
             terms = [x * y for x, y in zip(ua, ub)]
             res = apply(rec, SequenceStream.exact(terms), range(200 - rec.order))
             assert all(r == 0 for r in res)
+
+
+def _shift_vector_recs():
+    """Random recurrences of order 0..3, and ones whose leading coefficient
+    vanishes at n = 0, 1, 2 or 3."""
+    rng = random.Random(61)
+    recs = [random_recurrence(rng) for _ in range(40)]
+    for j in range(4):
+        for _ in range(3):
+            rec = random_recurrence(rng)
+            recs.append(Recurrence([P(-j, 1) * rec.coeffs[0], *rec.coeffs[1:]]))
+    return recs
+
+
+class TestShiftVectors:
+    """`_shift_vectors` gives S^k u as Poly numerators over the known
+    denominator; the Q(n) reference is `seqlib.ratfun_shift_vectors`."""
+
+    def test_matches_ratfun_reference(self):
+        shapes = set()
+        for i, rec in enumerate(_shift_vector_recs()):
+            K = 9 - i % 10  # K < order included
+            shapes.add((rec.order, K < rec.order))
+            got, want = closure._shift_vectors(rec, K), ratfun_shift_vectors(rec, K)
+            assert len(got) == len(want) == K + 1
+            for (num, den), ref in zip(got, want):
+                assert all(isinstance(c, Poly) for c in num)
+                assert [RatFun(c, den) for c in num] == ref
+        assert {r for r, _ in shapes} == {0, 1, 2, 3} and (3, True) in shapes
+
+    def test_denominator_closed_form(self):
+        for rec in _shift_vector_recs():
+            r, p0 = rec.order, rec.coeffs[0]
+            for k, (_, den) in enumerate(closure._shift_vectors(rec, 6)):
+                want = Poly([1])
+                for j in range(k - r + 1 if r else 0):
+                    want = want * p0.shift_arg(j)
+                assert den == want
+
+
+def _order3_pairs():
+    """Order-3 recurrence pairs of degree 1 and 2: coefficients in [-9, 9]
+    from random.Random(3), each polynomial's last coefficient set to 1 if
+    drawn 0, the pair of degree 1 drawn first."""
+    rng = random.Random(3)
+
+    def rec(degree):
+        polys = []
+        for _ in range(4):
+            c = [rng.randint(-9, 9) for _ in range(degree + 1)]
+            if c[-1] == 0:
+                c[-1] = 1
+            polys.append(Poly(c))
+        return Recurrence(polys)
+    return {d: (rec(d), rec(d)) for d in (1, 2)}
+
+
+def _digest(op):
+    text = json.dumps(operator_to_dict(op), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestClosureCore:
+    """Both recurrence closures run `_closure` on Poly columns and give the
+    operators the Q(n) elimination gave."""
+
+    @pytest.fixture
+    def columns(self, monkeypatch):
+        seen = []
+        real = closure._dependencies
+
+        def spy(vecs):
+            seen.append(vecs)
+            return real(vecs)
+        monkeypatch.setattr(closure, "_dependencies", spy)
+        return seen
+
+    def test_columns_are_polys(self, columns):
+        rng = random.Random(62)
+        recs = [_rec(row[0], row[1]) for row in GOLDEN_CLOSURES]
+        recs += [rec for rec in (Recurrence(random_recurrence(rng).coeffs)
+                                 for _ in range(20)) if rec.order][:10]
+        for a, b in zip(recs, recs[1:]):
+            closure_sum(a, b)
+            closure_hadamard(a, b)
+        closure_hadamard(Recurrence([P(-2, 1)]), recs[0])
+        assert len(columns) == 2 * (len(recs) - 1) + 1
+        for vecs in columns:
+            assert all(isinstance(c, Poly) for v in vecs for c in v)
+
+    @pytest.mark.parametrize("degree, want_had, want_sum",
+                             [(1, "40d436fb964cc276", "5f6f0d99af56577b"),
+                              (2, "1623dc4fd2a48237", "6aedae50cc0328ef")])
+    def test_order3_digests(self, degree, want_had, want_sum):
+        a, b = _order3_pairs()[degree]
+        assert _digest(closure_hadamard(a, b)) == want_had
+        assert _digest(closure_sum(a, b)) == want_sum
 
 
 class TestBinomialDiffSeq:

@@ -1,10 +1,17 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from holoseq import cli
+from holoseq.abelian import AsymptoticScale, verify_transfer
 from holoseq.annihilators import DiffOp, Recurrence
 from holoseq.cli import main
 from holoseq.formats import (
@@ -200,6 +207,15 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "usage error: nmax = 5001 is above the cap 5000\n"
 
+    @pytest.mark.parametrize("extra", [["--nmax", "9999999"], ["--nmax", "100"]],
+                             ids=["huge", "small"])
+    def test_witness_integer_alpha_refuses_nmax(self, extra, capsys):
+        # the integer branch guesses from 100 terms; --nmax was dropped
+        assert main(["witness", "powers", "--alpha", "2"] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: alpha = 2 is an integer")
+
     @pytest.mark.parametrize("argv", [
         ["witness", "primes", "--nmax", "0"],
         ["witness", "log", "--nmax", "0"],
@@ -332,6 +348,45 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["final_ratio"] - 1) < 1e-5
 
+    @pytest.fixture
+    def verify_inputs(self, monkeypatch):
+        """The sequences `cmd_verify` hands to `verify_transfer`."""
+        seen = []
+        real = cli.verify_transfer
+
+        def spy(u, *args, **kw):
+            seen.append(u)
+            return real(u, *args, **kw)
+        monkeypatch.setattr(cli, "verify_transfer", spy)
+        return seen
+
+    def test_verify_above_53_bits_sums_exact_terms(self, tmp_path, capsys,
+                                                   verify_inputs):
+        # 2^60 + 1 and 1/3 have no float64 form; k = 4 needs 257 terms
+        terms = [Fraction(2 ** 60 + 1) if n % 2 else Fraction(1, 3) for n in range(260)]
+        bf = write(tmp_path / "exact.bfile", "".join(
+            f"{n} {fraction_to_str(t)}\n" for n, t in enumerate(terms)))
+        argv = ["--json", "verify", "--input", bf, "--kmin", "4", "--kmax", "4"]
+        assert main(argv + ["--precision-bits", "80"]) == 0
+        (u,) = verify_inputs
+        assert u == terms and all(isinstance(t, Fraction) for t in u)
+        payload = json.loads(capsys.readouterr().out)
+        want = verify_transfer(terms, AsymptoticScale(0, 0, 0), kmin=4, kmax=4,
+                               precision_bits=80)
+        assert payload == json.loads(json.dumps(want.to_dict()))
+
+    def test_verify_at_53_bits_sums_floats(self, tmp_path, capsys, verify_inputs):
+        N = math.ceil(2 ** 8 * 64) + 1
+        bf = write(tmp_path / "ones.bfile",
+                   "\n".join(f"{n} 1" for n in range(N + 2)) + "\n")
+        for extra in ([], ["--precision-bits", "53"]):
+            assert main(["--json", "verify", "--input", bf, "--kmax", "8"] + extra) == 0
+        u = verify_inputs[0]
+        assert isinstance(u, np.ndarray) and u.dtype == np.float64
+        assert np.array_equal(u, verify_inputs[1]) and np.all(u == 1.0)
+        first, second = capsys.readouterr().out.split("\n}\n", 1)
+        assert json.loads(first + "}") == json.loads(second)
+
     @pytest.mark.parametrize("kmin,kmax", [("5", "4"), ("0", "4")])
     def test_verify_bad_k_range_exit_2(self, tmp_path, capsys, kmin, kmax):
         bf = write(tmp_path / "ones.bfile",
@@ -439,3 +494,23 @@ class TestCli:
         assert out1 == out2
         payload = json.loads(out1)
         assert list(payload) == sorted(payload)
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_exits_0_quietly(self, tmp_path):
+        # the transform of 3000 terms prints megabytes; the reader keeps 100
+        # bytes, as `| head -c 100` does, and closes the pipe
+        bf = write(tmp_path / "big.bfile",
+                   "".join(f"{n} {n * 7919 % 1000}\n" for n in range(3000)))
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "holoseq.cli", "--json", "transform", "--input", bf],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        assert head.startswith(b"{") and err == b""
+

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -110,6 +111,25 @@ class TestWitnessPowers:
         rep = witness_powers(3)
         assert rep.verdicts["holonomic_branch_recurrence_found"]
         assert rep.verdicts["certified_on_all_terms"]
+
+    @pytest.mark.parametrize("kw", [{"nmax": 9999999}, {"nmax": 5000},
+                                    {"grid": [500, 1000]}],
+                             ids=["nmax-huge", "nmax-default-value", "grid"])
+    def test_integer_branch_refuses_nmax_and_grid(self, kw):
+        with pytest.raises(ValueError, match="alpha = 2 is an integer"):
+            witness_powers(2, **kw)
+
+    @pytest.mark.parametrize("args, want", [
+        ((3,), "9e4d2246b0d08313"),
+        ((), "ff82c2edb5e69127"),
+    ], ids=["integer-3", "default"])
+    def test_reports_unchanged(self, args, want):
+        # sha256 of the report without its run time; the default run is
+        # alpha = 1/2 on the 48-point grid up to nmax = 5000
+        d = witness_powers(*args).to_dict()
+        d.pop("runtime_ms")
+        text = json.dumps(d, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == want
 
     def test_negative_integer_branch(self):
         rep = witness_powers(-2)
