@@ -237,21 +237,21 @@ def apply(rec: Recurrence, seq, rng) -> list:
 # Recurrence <-> differential operator
 # ---------------------------------------------------------------------------
 
-def theta_slices(ode: DiffOp) -> dict:
-    """The Euler form of the operator: {i: B_i} with
-    z^e L = sum_i z^i B_i(theta), e the order and B_i a Poly in theta.
+def theta_slices(ode) -> dict:
+    """The Euler form of a `DiffOp` or of any coefficient list [q_0, ...,
+    q_e]: {i: B_i} with z^e L = sum_i z^i B_i(theta), B_i a Poly in theta.
 
     Each monomial z^j D^m is z^(j-m) theta (theta-1) ... (theta-m+1), so it
     lands in slice i = j + e - m >= 0.  The falling factorials are
     independent, so every slice a monomial lands in is nonzero."""
-    e = ode.order
+    qs = ode.coeffs if isinstance(ode, DiffOp) else ode
+    e = len(qs) - 1
     slices = {}
     ff = [Poly([1])]
     for m in range(1, e + 1):
         ff.append(ff[-1] * Poly([-(m - 1), 1]))  # theta (theta-1) ... (theta-m+1)
     for m in range(e + 1):
-        am = ode.coeffs[e - m]
-        for j, c in enumerate(am.coeffs):
+        for j, c in enumerate(qs[e - m].coeffs):
             if c == 0:
                 continue
             key = j + e - m

@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import hpeval
 from .annihilators import DiffOp, Recurrence, SequenceStream, ode_to_rec, rec_to_ode, unroll
-from .kernel import Poly, RatFun, _as_ratfun, _primitive, _scaled, nullspace
+from .kernel import Poly, RatFun, _as_ratfun, _content_sign, _scaled, nullspace, poly_gcd
 
 
 class DegenerateSubstitution(Exception):
@@ -80,14 +80,31 @@ def _best_annihilator(basis, initial_terms=None) -> Recurrence:
     return min(recs, key=lambda t: (t[0], *_op_key(t[1])))[1]
 
 
+def _primitive_over(c, den):
+    """`kernel._primitive(c)` for Polys whose common factor divides `den`:
+    the gcd chain starts at `den`."""
+    g = den
+    for p in c:
+        if g.degree == 0:
+            break
+        g = poly_gcd(g, p)
+    if g.degree > 0:
+        c = [p.exact_div(g) for p in c]
+    content, _ = _content_sign(c)
+    return [p * (1 / content) for p in c]
+
+
 def _closure(a, b, m, column, combine) -> Recurrence:
     """Annihilator of combine(u, v) from the dependencies of its shifts
     k = 0..m.  `column(N^a_k, D^a_k, N^b_k, D^b_k)` gives the numerators of
     S^k combine(u, v) over D_k = D^a_k D^b_k, so a dependency c' of the
-    columns is the dependency c_k = c'_k D_k of the shifts."""
+    columns is the dependency c_k = c'_k D_k of the shifts.  `nullspace`
+    returns c' primitive, so each irreducible f is prime to some c'_j, and
+    an f^e dividing every c_k divides D_j, hence D_m: the normal form of c
+    starts its gcd chain there."""
     va, vb = _shift_vectors(a, m), _shift_vectors(b, m)
     dens = [da * db for (_, da), (_, db) in zip(va, vb)]
-    basis = [_primitive([c * d for c, d in zip(v, dens)])
+    basis = [_primitive_over([c * d for c, d in zip(v, dens)], dens[-1])
              for v in _dependencies([column(*x, *y) for x, y in zip(va, vb)])]
     init = None
     if a.initial_terms is not None and b.initial_terms is not None:
@@ -101,9 +118,7 @@ def _closure(a, b, m, column, combine) -> Recurrence:
 def closure_sum(a: Recurrence, b: Recurrence) -> Recurrence:
     """Recurrence of order <= order(a) + order(b) annihilating u + v for
     every solution u of a and v of b."""
-    m = a.order + b.order
-    if m == 0:
-        return Recurrence([Poly([1])])
+    m = max(a.order, 1) + max(b.order, 1)
     return _closure(a, b, m, lambda na, da, nb, db: [p * db for p in na] + [p * da for p in nb],
                     lambda x, y: x + y)
 

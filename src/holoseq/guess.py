@@ -2,8 +2,12 @@
 
 Positive results are certificates: a returned recurrence has exactly zero
 residuals on every supplied term (exact mode) or normalized residuals
-within tolerance on held-out terms (float mode).  A NotFound result is
-*evidence*, never proof; the searched (order, degree) box is always
+within tolerance on held-out terms (float mode).  An exact NotFound whose
+screen reached full column rank ("ansatz system has full column rank") is
+a proof over the supplied terms: the rank modulo p is at most the rank
+over Q, so no recurrence in the box fits them.  Only a screen that passed
+with no exact certificate surviving, or a float-mode NotFound, is
+*evidence*, never proof.  The searched (order, degree) box is always
 recorded in the provenance block.
 
 Exact mode screens each box by a rank modulo a 61-bit prime and runs the

@@ -12,6 +12,12 @@ exp(P(Z^(-1/r))).  Local solutions at a regular singular point look like
 Z^alpha * (polynomial in log Z) with alpha an indicial root; iterated
 logarithms, or log powers that are not small nonnegative integers, can
 never arise, which is the lever every witness in this package pulls.
+
+Every reader here uses one local picture, `_local`: the coefficients in t
+and their Euler slices, not normalised.  Normalising would change nothing:
+the shift to z0 keeps the coefficients coprime, and at infinity the only
+common factor is a power t^k, which moves every valuation and slice index
+by k and so no slope, edge length or primitive slice.
 """
 
 from __future__ import annotations
@@ -84,58 +90,50 @@ def _coerce_point(z0):
     raise NonRationalPoint(f"algebraic points of degree > 1 are out of scope: {z0!r}")
 
 
-def local_operator(ode: DiffOp, z0) -> DiffOp:
-    """The operator rewritten in the local parameter: t = z - z0 at a
-    finite point, t = 1/z at infinity.
+def _local(ode: DiffOp, z0):
+    """The local picture: coefficients q_0, ..., q_e in t = z - z0
+    (t = 1/z at infinity), not normalised, and their Euler slices.
 
     At infinity theta_z = -theta_t, so the Euler form
     z^e L = sum_i z^i B_i(theta_z) becomes t^(-i) B_i(-theta_t); times
-    t^top, top the highest slice, it is sum_i t^(top-i) B_i(-theta_t)."""
+    t^top, top the highest slice, it is sum_i t^(top-i) B_i(-theta_t):
+    the slices of the list, keyed e lower than `theta_slices` keys them."""
     z0 = _coerce_point(z0)
     if z0 is not INFINITY:
-        return DiffOp([q.shift_arg(z0) for q in ode.coeffs])
+        qs = [q.shift_arg(z0) for q in ode.coeffs]
+        return qs, theta_slices(qs)
     slices = theta_slices(ode)
     top = max(slices)
     flipped = {top - i: Poly([-c if a % 2 else c for a, c in enumerate(B.coeffs)])
                for i, B in slices.items()}
-    return DiffOp(list(reversed(from_theta_slices(flipped))))
+    return list(reversed(from_theta_slices(flipped))), flipped
+
+
+def local_operator(ode: DiffOp, z0) -> DiffOp:
+    """The operator rewritten in the local parameter: t = z - z0 at a
+    finite point, t = 1/z at infinity."""
+    return DiffOp(_local(ode, z0)[0])
 
 
 def indicial_polynomial(ode: DiffOp, z0) -> Poly:
     """Lowest theta-slice of the operator at the point (polynomial in
     theta = t d/dt); its degree equals the order exactly when the point is
     ordinary or regular singular."""
-    return _indicial(local_operator(ode, z0))
-
-
-def _indicial(local: DiffOp) -> Poly:
-    slices = theta_slices(local)
+    slices = _local(ode, z0)[1]
     return slices[min(slices)].primitive()
 
 
 def newton_polygon(ode: DiffOp, z0) -> List[Tuple[Fraction, int]]:
     """Slopes (with horizontal lengths) of the local Newton polygon built
-    on the points (m, val(a_m) - m); the slope-0 part is the regular
+    on the points (m, val(q_(e-m)) - m); the slope-0 part is the regular
     (Fuchs) part, positive slopes signal exponential parts."""
-    return _newton(local_operator(ode, z0))
+    return _newton(_local(ode, z0)[0])
 
 
-def _newton(local: DiffOp) -> List[Tuple[Fraction, int]]:
-    e = local.order
-    pts = []
-    for m in range(e + 1):
-        am = local.coeffs[e - m]
-        if am.is_zero():
-            continue
-        pts.append((m, am.valuation() - m))
+def _newton(qs) -> List[Tuple[Fraction, int]]:
+    pts = [(m, q.valuation() - m) for m, q in enumerate(reversed(qs)) if not q.is_zero()]
     # dominate leftward: each point also bounds everything to its left
-    pts.sort()
-    suffix = []
-    running = None
-    for m, h in reversed(pts):
-        running = h if running is None else min(running, h)
-        suffix.append((m, running))
-    suffix.reverse()
+    suffix = [(m, min(h for _, h in pts[i:])) for i, (m, _) in enumerate(pts)]
     hull = []
     for p in suffix:  # lower convex hull, left to right
         while len(hull) >= 2:
@@ -192,18 +190,16 @@ def classify_point(ode: DiffOp, z0) -> SingularPointReport:
     log-degree bound, Newton slopes, ramification, and the degree of the
     exponential part."""
     z0c = _coerce_point(z0)
-    local = local_operator(ode, z0c)
-    e = local.order
-    slopes = _newton(local)
-    ordinary = local.coeffs[0](0) != 0
+    qs, slices = _local(ode, z0c)
+    slopes = _newton(qs)
+    ordinary = qs[0].valuation() == min(q.valuation() for q in qs if not q.is_zero())
     if ordinary:
         kind = "ordinary"
     elif all(s == 0 for s, _ in slopes):
         kind = "regular_singular"
     else:
         kind = "irregular"
-    indicial = _indicial(local)
-    roots, nonrational, bound, flag = _log_data(indicial)
+    roots, nonrational, bound, flag = _log_data(slices[min(slices)].primitive())
     if ordinary:
         bound, flag = 0, "none"
     positive = [s for s, _ in slopes if s > 0]
@@ -219,7 +215,7 @@ def classify_point(ode: DiffOp, z0) -> SingularPointReport:
         newton_slopes=slopes,
         ramification=ram,
         exp_part_degree=exp_deg,
-        operator_order=e,
+        operator_order=len(qs) - 1,
     )
 
 

@@ -11,8 +11,8 @@ import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import to_rational
 
-from holoseq import guess
-from holoseq.annihilators import Recurrence
+from holoseq import guess, singclass
+from holoseq.annihilators import DiffOp, Recurrence, from_theta_slices, theta_slices
 from holoseq.kernel import Poly, RatFun
 
 
@@ -88,11 +88,12 @@ def _rand_poly(rng, maxdeg):
                  for _ in range(rng.randint(0, maxdeg + 1))])
 
 
-def random_diffop(rng):
-    """Order 0..3, degree <= 3, zero middle coefficients and rational
-    coefficients allowed; a random common factor one time in four."""
-    e = rng.randint(0, 3)
-    qs = [_rand_poly(rng, 3) for _ in range(e + 1)]
+def random_diffop(rng, max_order=3, max_degree=3):
+    """Order 0..max_order, degree <= max_degree, zero middle coefficients
+    and rational coefficients allowed; a random common factor one time in
+    four."""
+    e = rng.randint(0, max_order)
+    qs = [_rand_poly(rng, max_degree) for _ in range(e + 1)]
     if qs[0].is_zero():
         qs[0] = Poly([rng.randint(1, 3), Fraction(rng.randint(-3, 3), 2)])
     if rng.random() < 0.25:
@@ -512,3 +513,76 @@ def fraction_series_exp(u):
                 s += k * u.coeffs[k] * g[m - k]
         g[m] = s / m
     return g
+
+
+# The local analysis `singclass` ran before it read one unnormalised local
+# picture: the local operator normalised as a `DiffOp`, then its Newton
+# polygon and, from a second Euler form, its indicial polynomial.
+
+def reference_local_operator(ode, z0):
+    z0 = singclass._coerce_point(z0)
+    if z0 is not singclass.INFINITY:
+        return DiffOp([q.shift_arg(z0) for q in ode.coeffs])
+    slices = theta_slices(ode)
+    top = max(slices)
+    flipped = {top - i: Poly([-c if a % 2 else c for a, c in enumerate(B.coeffs)])
+               for i, B in slices.items()}
+    return DiffOp(list(reversed(from_theta_slices(flipped))))
+
+
+def reference_indicial(local):
+    slices = theta_slices(local)
+    return slices[min(slices)].primitive()
+
+
+def reference_newton(local):
+    e = local.order
+    pts = []
+    for m in range(e + 1):
+        am = local.coeffs[e - m]
+        if am.is_zero():
+            continue
+        pts.append((m, am.valuation() - m))
+    pts.sort()
+    suffix = []
+    running = None
+    for m, h in reversed(pts):
+        running = h if running is None else min(running, h)
+        suffix.append((m, running))
+    suffix.reverse()
+    hull = []
+    for p in suffix:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (p[0] - x1) >= (p[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    edges = [(Fraction(y2 - y1, x2 - x1), x2 - x1)
+             for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
+    return edges or [(Fraction(0), 0)]
+
+
+def reference_classify_point(ode, z0):
+    z0c = singclass._coerce_point(z0)
+    local = reference_local_operator(ode, z0c)
+    slopes = reference_newton(local)
+    ordinary = local.coeffs[0](0) != 0
+    if ordinary:
+        kind = "ordinary"
+    elif all(s == 0 for s, _ in slopes):
+        kind = "regular_singular"
+    else:
+        kind = "irregular"
+    roots, nonrational, bound, flag = singclass._log_data(reference_indicial(local))
+    if ordinary:
+        bound, flag = 0, "none"
+    positive = [s for s, _ in slopes if s > 0]
+    ram = math.lcm(*[s.denominator for s in positive])
+    return singclass.SingularPointReport(
+        location=z0c, kind=kind, indicial_exponents=roots,
+        nonrational_indicial=nonrational, log_degree_bound=bound,
+        log_flag=flag, newton_slopes=slopes, ramification=ram,
+        exp_part_degree=max(positive, default=Fraction(0)) * ram,
+        operator_order=local.order)

@@ -8,6 +8,7 @@ import pytest
 
 from holoseq.annihilators import (
     DiffOp,
+    LeadingCoefficientZero,
     Recurrence,
     SequenceStream,
     apply,
@@ -28,7 +29,7 @@ from holoseq.closure import (
     multiply_by_ratfun,
     substitute_rational,
 )
-from holoseq.kernel import Poly, RatFun, _as_ratfun, clear_denominators, nullspace
+from holoseq.kernel import Poly, RatFun, _as_ratfun, _primitive, clear_denominators, nullspace
 from holoseq.series import Series, geometric
 from holoseq.formats import operator_to_dict
 from seqlib import (full_degree_rec, random_diffop, random_ratfun, random_recurrence,
@@ -206,6 +207,37 @@ class TestClosureSum:
             res = apply(rec, SequenceStream.exact(terms), range(200 - rec.order))
             assert all(r == 0 for r in res)
 
+    def test_one_order_zero_operand(self):
+        # n (n + 2) v_n = 0 puts v in a module touched only by S^0, so the
+        # search needs the shifts up to order(a) + 1, as the product's does
+        a, b = Recurrence([P(2), P(-9, 10, -3)]), Recurrence([P(0, 2, 1)])
+        assert closure_sum(a, b) == a
+        assert closure_sum(b, a) == a
+
+    def test_two_order_zero_operands(self):
+        b = Recurrence([P(0, 2, 1)])
+        assert closure_sum(b, b) == Recurrence([P(1)])
+        assert closure_sum(b, Recurrence([P(3, 1)])) == Recurrence([P(1)])
+
+    def test_order_zero_operand_with_initial_terms(self):
+        # (n + 3) v_n = 0 has no root n >= 0, so v = 0 and u + v = u
+        a = Recurrence([P(2), P(-9, 10, -3)], initial_terms=[5])
+        z = Recurrence([P(3, 1)], initial_terms=[])
+        for x, y in [(a, z), (z, a)]:
+            rec = closure_sum(x, y)
+            assert rec == a
+            assert rec.initial_terms == (5, Fraction(45, 2))
+
+    def test_order_zero_operand_vanishing_at_zero(self):
+        # n v_n = 0 leaves v_0 free: no initial terms fix it, and both
+        # closures refuse in `unroll`
+        a = Recurrence([P(2), P(-9, 10, -3)], initial_terms=[5])
+        z = Recurrence([P(0, 1)], initial_terms=[])
+        for op in (closure_sum, closure_hadamard):
+            for x, y in [(a, z), (z, a)]:
+                with pytest.raises(LeadingCoefficientZero):
+                    op(x, y)
+
 
 class TestClosureHadamard:
     def test_central_binomial_squared(self):
@@ -328,6 +360,21 @@ class TestClosureCore:
         assert len(columns) == 2 * (len(recs) - 1) + 1
         for vecs in columns:
             assert all(isinstance(c, Poly) for v in vecs for c in v)
+
+    def test_primitive_over_known_denominator(self):
+        # equal to kernel._primitive whenever the common factor divides den
+        rng = random.Random(63)
+        for i in range(60):
+            f = Poly([Fraction(rng.randint(1, 5), rng.randint(1, 3))])
+            for _ in range(i % 3):
+                f = f * P(rng.randint(-3, 3), rng.randint(1, 2))
+            den = f * random_recurrence(rng).coeffs[0]
+            v = list(random_recurrence(rng).coeffs)
+            v[rng.randrange(len(v))] = Poly()
+            if all(p.is_zero() for p in v):
+                continue
+            c = [p * f for p in _primitive(v)]
+            assert closure._primitive_over(c, den) == _primitive(c)
 
     @pytest.mark.parametrize("degree, want_had, want_sum",
                              [(1, "40d436fb964cc276", "5f6f0d99af56577b"),

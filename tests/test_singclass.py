@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from holoseq import singclass
 from holoseq.annihilators import DiffOp
-from holoseq.kernel import Poly
+from holoseq.kernel import Poly, rational_roots
 from holoseq.singclass import (
     INFINITY,
     NonRationalPoint,
@@ -16,7 +17,8 @@ from holoseq.singclass import (
     local_operator,
     newton_polygon,
 )
-from seqlib import random_diffop
+from seqlib import (random_diffop, reference_classify_point, reference_indicial,
+                    reference_local_operator, reference_newton)
 
 
 def P(*coeffs):
@@ -298,3 +300,69 @@ class TestLocalOperatorAtInfinity:
             want = classify_point(_ref_local_at_infinity(ode), 0).to_dict()
             got.pop("location"), want.pop("location")
             assert got == want
+
+
+def _points(ode, rng):
+    """Every rational root of q_0, two rational points where q_0 does not
+    vanish, and infinity."""
+    roots = set(rational_roots(ode.coeffs[0]))
+    points = sorted(roots)
+    while len(points) < len(roots) + 2:
+        x = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        if x not in roots and x not in points:
+            points.append(x)
+    return points + [INFINITY]
+
+
+class TestOneLocalPicture:
+    """Every reader goes through `singclass._local`, unnormalised; the
+    parent's normalised route is the reference in `seqlib`."""
+
+    def test_matches_normalised_reference(self):
+        rng = random.Random(171)
+        orders, kinds, shared_t = set(), set(), 0
+        for _ in range(150):
+            ode = DiffOp(random_diffop(rng, max_order=4, max_degree=4))
+            orders.add(ode.order)
+            for z0 in _points(ode, rng):
+                ref = reference_local_operator(ode, z0)
+                assert local_operator(ode, z0) == ref
+                assert newton_polygon(ode, z0) == reference_newton(ref)
+                assert indicial_polynomial(ode, z0) == reference_indicial(ref)
+                got = classify_point(ode, z0)
+                assert got.to_dict() == reference_classify_point(ode, z0).to_dict()
+                kinds.add(got.kind)
+                qs = singclass._local(ode, z0)[0]
+                shared_t += min(q.valuation() for q in qs if not q.is_zero()) > 0
+        assert orders == {0, 1, 2, 3, 4}
+        assert kinds == {"ordinary", "regular_singular", "irregular"}
+        assert shared_t > 0
+
+    def test_ordinary_at_infinity_with_shared_t(self):
+        # z^2 y' + y at infinity is -t y_t + t y raw, y_t - y normalised
+        ode = DiffOp([P(0, 0, 1), P(1)])
+        assert singclass._local(ode, INFINITY)[0] == [P(0, -1), P(0, 1)]
+        assert local_operator(ode, INFINITY) == DiffOp([P(1), P(-1)])
+        rep = classify_point(ode, INFINITY)
+        assert rep.to_dict() == reference_classify_point(ode, INFINITY).to_dict()
+        assert rep.kind == "ordinary"
+        assert (rep.log_degree_bound, rep.log_flag) == (0, "none")
+
+    def test_classify_reads_one_euler_form_and_builds_no_diffop(self, monkeypatch):
+        odes = [log_op(), euler_op(), exp_op(), airy_op(), DiffOp([P(0, 0, 1), P(1)])]
+        calls = []
+        real = singclass.theta_slices
+
+        def spy(qs):
+            calls.append(qs)
+            return real(qs)
+
+        def no_diffop(self, coeffs):
+            raise AssertionError("classify_point built a DiffOp")
+        monkeypatch.setattr(singclass, "theta_slices", spy)
+        monkeypatch.setattr(DiffOp, "__init__", no_diffop)
+        for ode in odes:
+            for z0 in (0, 1, Fraction(1, 2), INFINITY):
+                calls.clear()
+                classify_point(ode, z0)
+                assert len(calls) == 1
