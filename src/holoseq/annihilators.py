@@ -237,14 +237,14 @@ def apply(rec: Recurrence, seq, rng) -> list:
 # Recurrence <-> differential operator
 # ---------------------------------------------------------------------------
 
-def theta_slices(ode) -> dict:
-    """The Euler form of a `DiffOp` or of any coefficient list [q_0, ...,
-    q_e]: {i: B_i} with z^e L = sum_i z^i B_i(theta), B_i a Poly in theta.
+def theta_slices(qs) -> dict:
+    """The Euler form of the operator with coefficients [q_0, ..., q_e]
+    (a `DiffOp`'s `.coeffs`, or any unnormalised list): {i: B_i} with
+    z^e L = sum_i z^i B_i(theta), B_i a Poly in theta.
 
     Each monomial z^j D^m is z^(j-m) theta (theta-1) ... (theta-m+1), so it
     lands in slice i = j + e - m >= 0.  The falling factorials are
     independent, so every slice a monomial lands in is nonzero."""
-    qs = ode.coeffs if isinstance(ode, DiffOp) else ode
     e = len(qs) - 1
     slices = {}
     ff = [Poly([1])]
@@ -347,7 +347,7 @@ def ode_to_rec(ode: DiffOp) -> Recurrence:
     indices it vanishes at every integer N, which justifies re-basing the
     relation so its lowest referenced index is n.
     """
-    slices = theta_slices(ode)
+    slices = theta_slices(ode.coeffs)
     lo, hi = min(slices), max(slices)
     return Recurrence([slices.get(i, Poly()).shift_arg(hi - i)
                        for i in range(lo, hi + 1)]).reduced()

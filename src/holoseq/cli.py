@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .abelian import AlphaNegative, AsymptoticScale, transfer, verify_transfer
-from .annihilators import Recurrence
+from .annihilators import LeadingCoefficientZero, Recurrence
 from .closure import binomial_diff_seq, binomial_transform_op, closure_hadamard, closure_sum
 from .formats import (
     FormatError,
@@ -349,7 +349,7 @@ def main(argv=None) -> int:
     except (PrecisionExhausted, CapExceeded) as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_EXHAUSTED
-    except (InsufficientTerms, AlphaNegative, ValueError) as e:
+    except (InsufficientTerms, AlphaNegative, LeadingCoefficientZero, ValueError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -24,8 +24,9 @@ from fractions import Fraction
 from typing import Optional
 
 from . import hpeval
-from .annihilators import DiffOp, Recurrence, SequenceStream, ode_to_rec, rec_to_ode, unroll
-from .kernel import Poly, RatFun, _as_ratfun, _content_sign, _scaled, nullspace, poly_gcd
+from .annihilators import (DiffOp, LeadingCoefficientZero, Recurrence, SequenceStream,
+                           ode_to_rec, rec_to_ode, unroll)
+from .kernel import Poly, RatFun, _as_ratfun, _scaled, nullspace, poly_gcd, rational_roots
 
 
 class DegenerateSubstitution(Exception):
@@ -80,18 +81,15 @@ def _best_annihilator(basis, initial_terms=None) -> Recurrence:
     return min(recs, key=lambda t: (t[0], *_op_key(t[1])))[1]
 
 
-def _primitive_over(c, den):
-    """`kernel._primitive(c)` for Polys whose common factor divides `den`:
-    the gcd chain starts at `den`."""
+def _cancel_over(c, den):
+    """c divided by the common factor of its entries, which divides `den`:
+    the gcd chain starts at `den`.  `Recurrence` normalises the content."""
     g = den
     for p in c:
         if g.degree == 0:
-            break
+            return c
         g = poly_gcd(g, p)
-    if g.degree > 0:
-        c = [p.exact_div(g) for p in c]
-    content, _ = _content_sign(c)
-    return [p * (1 / content) for p in c]
+    return c if g.degree == 0 else [p.exact_div(g) for p in c]
 
 
 def _closure(a, b, m, column, combine) -> Recurrence:
@@ -101,10 +99,19 @@ def _closure(a, b, m, column, combine) -> Recurrence:
     columns is the dependency c_k = c'_k D_k of the shifts.  `nullspace`
     returns c' primitive, so each irreducible f is prime to some c'_j, and
     an f^e dividing every c_k divides D_j, hence D_m: the normal form of c
-    starts its gcd chain there."""
+    starts its gcd chain there.
+
+    `_shift_vectors` reads an order-0 operand as v = 0, which holds only
+    where p_0(n) != 0; a root n >= 0 leaves v_n free, so the closure
+    raises LeadingCoefficientZero(n) there."""
+    for rec in (a, b):
+        if rec.order == 0:
+            free = [x for x in rational_roots(rec.coeffs[0]) if x.denominator == 1 and x >= 0]
+            if free:
+                raise LeadingCoefficientZero(int(min(free)))
     va, vb = _shift_vectors(a, m), _shift_vectors(b, m)
     dens = [da * db for (_, da), (_, db) in zip(va, vb)]
-    basis = [_primitive_over([c * d for c, d in zip(v, dens)], dens[-1])
+    basis = [_cancel_over([c * d for c, d in zip(v, dens)], dens[-1])
              for v in _dependencies([column(*x, *y) for x, y in zip(va, vb)])]
     init = None
     if a.initial_terms is not None and b.initial_terms is not None:
@@ -117,7 +124,8 @@ def _closure(a, b, m, column, combine) -> Recurrence:
 
 def closure_sum(a: Recurrence, b: Recurrence) -> Recurrence:
     """Recurrence of order <= order(a) + order(b) annihilating u + v for
-    every solution u of a and v of b."""
+    every solution u of a and v of b; see `_closure` for an order-0
+    operand."""
     m = max(a.order, 1) + max(b.order, 1)
     return _closure(a, b, m, lambda na, da, nb, db: [p * db for p in na] + [p * da for p in nb],
                     lambda x, y: x + y)
@@ -125,7 +133,7 @@ def closure_sum(a: Recurrence, b: Recurrence) -> Recurrence:
 
 def closure_hadamard(a: Recurrence, b: Recurrence) -> Recurrence:
     """Recurrence of order <= order(a) * order(b) annihilating the termwise
-    product u_n v_n."""
+    product u_n v_n; see `_closure` for an order-0 operand."""
     m = max(a.order, 1) * max(b.order, 1)
     return _closure(a, b, m, lambda na, da, nb, db: [x * y for x in na for y in nb],
                     lambda x, y: x * y)

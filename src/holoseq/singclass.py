@@ -102,7 +102,7 @@ def _local(ode: DiffOp, z0):
     if z0 is not INFINITY:
         qs = [q.shift_arg(z0) for q in ode.coeffs]
         return qs, theta_slices(qs)
-    slices = theta_slices(ode)
+    slices = theta_slices(ode.coeffs)
     top = max(slices)
     flipped = {top - i: Poly([-c if a % 2 else c for a, c in enumerate(B.coeffs)])
                for i, B in slices.items()}

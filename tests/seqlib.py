@@ -523,7 +523,7 @@ def reference_local_operator(ode, z0):
     z0 = singclass._coerce_point(z0)
     if z0 is not singclass.INFINITY:
         return DiffOp([q.shift_arg(z0) for q in ode.coeffs])
-    slices = theta_slices(ode)
+    slices = theta_slices(ode.coeffs)
     top = max(slices)
     flipped = {top - i: Poly([-c if a % 2 else c for a, c in enumerate(B.coeffs)])
                for i, B in slices.items()}
@@ -531,7 +531,7 @@ def reference_local_operator(ode, z0):
 
 
 def reference_indicial(local):
-    slices = theta_slices(local)
+    slices = theta_slices(local.coeffs)
     return slices[min(slices)].primitive()
 
 

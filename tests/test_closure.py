@@ -208,16 +208,31 @@ class TestClosureSum:
             assert all(r == 0 for r in res)
 
     def test_one_order_zero_operand(self):
-        # n (n + 2) v_n = 0 puts v in a module touched only by S^0, so the
-        # search needs the shifts up to order(a) + 1, as the product's does
-        a, b = Recurrence([P(2), P(-9, 10, -3)]), Recurrence([P(0, 2, 1)])
+        # (n + 1)(n + 3) v_n = 0 has no root n >= 0, so v = 0; the search
+        # needs the shifts up to order(a) + 1, as the product's does
+        a, b = Recurrence([P(2), P(-9, 10, -3)]), Recurrence([P(3, 4, 1)])
         assert closure_sum(a, b) == a
         assert closure_sum(b, a) == a
+        assert closure_hadamard(a, b) == closure_hadamard(b, a) == Recurrence([P(1)])
 
     def test_two_order_zero_operands(self):
-        b = Recurrence([P(0, 2, 1)])
+        b, c = Recurrence([P(3, 4, 1)]), Recurrence([P(3, 1)])
         assert closure_sum(b, b) == Recurrence([P(1)])
-        assert closure_sum(b, Recurrence([P(3, 1)])) == Recurrence([P(1)])
+        assert closure_sum(b, c) == Recurrence([P(1)])
+        with pytest.raises(LeadingCoefficientZero):
+            closure_sum(b, Recurrence([P(0, 2, 1)]))
+
+    def test_order_zero_operand_with_a_root_refuses(self):
+        # n (n + 2) v_n = 0 leaves v_0 free: u + v with v_0 = 1 breaks
+        # `a` at n = 0, so neither closure may return `a` or w = 0
+        a, b = Recurrence([P(2), P(-9, 10, -3)]), Recurrence([P(0, 2, 1)])
+        u = unroll(a, [1], 3).terms
+        assert apply(a, SequenceStream.exact([u[0] + 1] + u[1:]), range(1)) != [0]
+        for op in (closure_sum, closure_hadamard):
+            for x, y in [(a, b), (b, a)]:
+                with pytest.raises(LeadingCoefficientZero) as err:
+                    op(x, y)
+                assert err.value.n == 0
 
     def test_order_zero_operand_with_initial_terms(self):
         # (n + 3) v_n = 0 has no root n >= 0, so v = 0 and u + v = u
@@ -228,15 +243,17 @@ class TestClosureSum:
             assert rec == a
             assert rec.initial_terms == (5, Fraction(45, 2))
 
-    def test_order_zero_operand_vanishing_at_zero(self):
-        # n v_n = 0 leaves v_0 free: no initial terms fix it, and both
-        # closures refuse in `unroll`
+    def test_order_zero_operand_vanishing_with_initial_terms(self):
+        # no initial terms fix v at a root of p_0, whether the closure's
+        # initial terms reach it (n = 0) or not (n = 10)
         a = Recurrence([P(2), P(-9, 10, -3)], initial_terms=[5])
-        z = Recurrence([P(0, 1)], initial_terms=[])
-        for op in (closure_sum, closure_hadamard):
-            for x, y in [(a, z), (z, a)]:
-                with pytest.raises(LeadingCoefficientZero):
-                    op(x, y)
+        for root in (0, 10):
+            z = Recurrence([P(-root, 1)], initial_terms=[])
+            for op in (closure_sum, closure_hadamard):
+                for x, y in [(a, z), (z, a)]:
+                    with pytest.raises(LeadingCoefficientZero) as err:
+                        op(x, y)
+                    assert err.value.n == root
 
 
 class TestClosureHadamard:
@@ -356,13 +373,17 @@ class TestClosureCore:
         for a, b in zip(recs, recs[1:]):
             closure_sum(a, b)
             closure_hadamard(a, b)
-        closure_hadamard(Recurrence([P(-2, 1)]), recs[0])
+        closure_hadamard(Recurrence([P(2, 1)]), recs[0])
+        # (n - 2) v_n = 0 leaves v_2 free: refused before any elimination
+        with pytest.raises(LeadingCoefficientZero):
+            closure_hadamard(Recurrence([P(-2, 1)]), recs[0])
         assert len(columns) == 2 * (len(recs) - 1) + 1
         for vecs in columns:
             assert all(isinstance(c, Poly) for v in vecs for c in v)
 
-    def test_primitive_over_known_denominator(self):
-        # equal to kernel._primitive whenever the common factor divides den
+    def test_cancel_over_known_denominator(self):
+        # kernel._primitive up to the content, which Recurrence normalises,
+        # whenever the common factor divides den
         rng = random.Random(63)
         for i in range(60):
             f = Poly([Fraction(rng.randint(1, 5), rng.randint(1, 3))])
@@ -374,7 +395,8 @@ class TestClosureCore:
             if all(p.is_zero() for p in v):
                 continue
             c = [p * f for p in _primitive(v)]
-            assert closure._primitive_over(c, den) == _primitive(c)
+            got = closure._cancel_over(c, den)
+            assert Recurrence(got) == Recurrence(_primitive(c))
 
     @pytest.mark.parametrize("degree, want_had, want_sum",
                              [(1, "40d436fb964cc276", "5f6f0d99af56577b"),

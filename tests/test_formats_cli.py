@@ -258,6 +258,18 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["order"] <= 2
 
+    @pytest.mark.parametrize("op", ["sum", "hadamard"])
+    def test_closure_order_zero_operand_with_a_root_exit_2(self, tmp_path, capsys, op):
+        # n (n + 2) v_n = 0 leaves v_0 free, with or without initial terms
+        a = Recurrence([P(2), P(-9, 10, -3)])
+        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        pa.write_text(json.dumps(operator_to_dict(a)))
+        for init in (None, []):
+            pb.write_text(json.dumps(operator_to_dict(Recurrence([P(0, 2, 1)], init))))
+            assert main(["closure", op, "--a", str(pa), "--b", str(pb)]) == 2
+            err = capsys.readouterr().err
+            assert err == "usage error: leading coefficient vanishes at n = 0\n"
+
     @pytest.mark.parametrize("fields", [
         {"initial_terms": [1]},
         {"initial_terms": 5},
