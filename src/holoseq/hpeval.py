@@ -24,14 +24,15 @@ The f-tables of the log and power witnesses are built from the primes
 a composite k = q m is the sum L_q + L_m, or one rounded product, of two
 entries already in the table.  Only a prime takes real work:
 log p = log(p-1) + 2 atanh(1/(2p-1)), an integer series (Brent and
-Zimmermann, "Modern Computer Arithmetic", 4.9), and p^alpha is one
-exp(alpha log p), or floor(2^w sqrt p) for alpha = 1/2.  Every entry
-carries an integer count of its error in units of 2^-w, the working
-precision w = prec + guard.  In the log table a prime adds 1 to the count
-of p - 1 and a composite sums its factors' counts, so log k is within
-2 log2 k units; the guard is derived from the counts, and every value
-returned is within 2^(1-prec) relative, inside the 2^(4-prec) that
-`binomial_diff_grid` asks of f.
+Zimmermann, "Modern Computer Arithmetic", 4.9).  For alpha = a/b with
+a > 0 and b <= 10, p^alpha is floor(2^w p^(a/b)), the certified integer
+b-th root of p^a 2^(b w) (`_iroot`); any other alpha takes one
+exp(alpha log p).  Every entry carries an integer count of its error in
+units of 2^-w, the working precision w = prec + guard.  In the log table
+a prime adds 1 to the count of p - 1 and a composite sums its factors'
+counts, so log k is within 2 log2 k units; the guard is derived from the
+counts, and every value returned is within 2^(1-prec) relative, inside
+the 2^(4-prec) that `binomial_diff_grid` asks of f.
 
 Values are carried as ``BigReal``: a midpoint plus an absolute error
 bound.  Outside the alternating sums, bounds are propagated conservatively
@@ -488,6 +489,46 @@ def _least_factor(n: int, primes: list):
     return None
 
 
+def _iroot(n: int, b: int) -> int:
+    """floor(n^(1/b)) for integers n >= 0 and b >= 1, certified: math.isqrt
+    for b = 2, otherwise Newton's iteration from a float seed, doubling the
+    precision (Brent and Zimmermann, "Modern Computer Arithmetic", 1.5),
+    and a final check y^b <= n < (y+1)^b that steps y to the floor."""
+    if b == 2:
+        return math.isqrt(n)
+    y = _root_near(n, b)
+    while True:
+        z = y ** (b - 1)
+        r = n - z * y
+        if r < 0:
+            y -= 1
+        # (y+1)^b >= y^b + b y^(b-1) spares the power in almost every case
+        elif r >= b * z and (y + 1) ** b <= n:
+            y += 1
+        else:
+            return y
+
+
+def _root_near(n: int, b: int) -> int:
+    """y with floor(n^(1/b)) <= y <= floor(n^(1/b)) + 1, for b <= 16.
+
+    Up to 40 bits of root: the float root of n's leading 64 bits, within
+    2^-5 of n^(1/b), rounded.  Above: with k = bit_length(n) // b and
+    s = (k - 10) // 2, the root of n >> b s shifted left by s is within
+    2^(s+1) of n^(1/b), a relative error e < 2^(2+s-k).  One Newton step
+    from it lands at most (b-1)/2 e^2 n^(1/b) < 1/4 above the root, never
+    below it (by the inequality of the means), and the step in integers
+    is the floor of that real step, since nested floors compose."""
+    k = n.bit_length() // b
+    if k <= 40:
+        t = max(0, n.bit_length() - 64)
+        return round(float(n >> t) ** (1 / b) * 2.0 ** (t / b))
+    s = (k - 10) // 2
+    z = _root_near(n >> b * s, b)
+    # the step from y = z 2^s: n // y^(b-1) = (n >> s (b-1)) // z^(b-1)
+    return (((b - 1) * z << s) + (n >> s * (b - 1)) // z ** (b - 1)) // b
+
+
 class _Table:
     """Entries of a completely additive or multiplicative function of
     k >= 1, each a value at w = prec + guard bits with an integer error
@@ -539,33 +580,54 @@ class _LogTable(_Table):
         return mp.make_mpf(from_man_exp(v, -self.w, self.prec, round_nearest))
 
 
+# the largest denominator b of alpha = a/b that `_PowerTable` takes by the
+# integer b-th root.  Timed on the 365 primes up to 2470 at 2550 bits, the
+# roots beat one exp per prime up to b = 10 (0.12-0.13 s against
+# 0.14-0.15 s for the table), tied at 11 and lost from 12 on (0.17-0.22 s):
+# the exact powers y^(b-1) of the check grow with b, exp does not
+_ROOT_CAP = 10
+
+
+def _root_exponent(ratios: list):
+    """(a, b) for real alpha = a/b in lowest terms with a > 0 and
+    b <= _ROOT_CAP, the root route of `_PowerTable`; None otherwise."""
+    if len(ratios) == 1 and ratios[0] > 0 \
+            and ratios[0].denominator <= _ROOT_CAP:
+        return ratios[0].as_integer_ratio()
+    return None
+
+
 class _PowerTable(_Table):
     """k^alpha in floating point: mpf (or mpc) tuples at w bits within the
     relative error counts[k] 2^-w.  Floating, not fixed point, so that
     |k^alpha| < 1 (Re alpha < 0) keeps its relative bound.
 
     A product is rounded once, which adds 1 to its count and 1 more for
-    the product of its factors' errors.  With `ratios` None, alpha = 1/2
-    and a prime gets floor(2^w sqrt p), count 1.  Otherwise `ratios` are
-    the exact real (and imaginary) part of alpha with
-    `bound` >= |re| + |im|, and a prime gets exp(alpha L_p 2^-w) at w bits,
-    L_p from a log table at the same w with count c_p: the argument,
-    floored per part, is within bound c_p + 2 units of alpha log p, and
-    exp's own rounding (1 ulp per part) and the second order bring the
-    count to bound c_p + 6.  So counts[k] <= (2 bound + 8) log2 k, and
-    3 log2 k for alpha = 1/2."""
+    the product of its factors' errors.  `ratios` are the exact real (and
+    imaginary) part of alpha.  On the root route, alpha = a/b in lowest
+    terms with a > 0 and b <= _ROOT_CAP, a prime gets floor(2^w p^(a/b)),
+    the certified integer b-th root of p^a 2^(b w), count 1 (p^alpha >= 1
+    makes the floor's absolute error a relative one); so
+    counts[k] <= 3 log2 k.  Otherwise, with `bound` >= |re| + |im|, a
+    prime gets exp(alpha L_p 2^-w) at w bits, L_p from a log table at the
+    same w with count c_p: the argument, floored per part, is within
+    bound c_p + 2 units of alpha log p, and exp's own rounding (1 ulp per
+    part) and the second order bring the count to bound c_p + 6.  So
+    counts[k] <= (2 bound + 8) log2 k on the exp route."""
 
-    def __init__(self, prec: int, guard: int, ratios=None, bound: int = 0):
-        self.complex = ratios is not None and len(ratios) == 2
+    def __init__(self, prec: int, guard: int, ratios: list, bound: int):
+        self.complex = len(ratios) == 2
         super().__init__(prec, guard, (fone, fzero) if self.complex else fone)
         self.ratios = ratios
         self.bound = bound
-        self.logs = _LogTable(prec, guard) if ratios else None
+        self.root = _root_exponent(ratios)
+        self.logs = None if self.root else _LogTable(prec, guard)
 
     def _prime(self, p):
         w = self.w
-        if self.ratios is None:
-            return from_man_exp(math.isqrt(p << 2 * w), -w), 1
+        if self.root:
+            a, b = self.root
+            return from_man_exp(_iroot(p ** a << b * w, b), -w), 1
         log_p, c = self.logs.entry(p)
         x = [from_man_exp(log_p * r.numerator // r.denominator, -w)
              for r in self.ratios]
@@ -635,15 +697,18 @@ def power_seq(alpha) -> Callable:
     relative error 2^(1-prec) of the alternating-sum contract, for real,
     complex or rational alpha.
 
-    k^alpha is multiplicative, so only the primes take real work: one
-    mpmath exp of alpha log p each, with log p from the fixed-point
-    log table, or floor(2^w sqrt p) when alpha = 1/2.  A composite is one
+    k^alpha is multiplicative, so only the primes take real work.  For
+    alpha = a/b with a > 0 and b <= _ROOT_CAP = 10 (1/2, 1/3, 2/3, 3/2,
+    7/2, ...) a prime gets floor(2^w p^(a/b)), an integer b-th root
+    certified by y^b <= p^a 2^(b w) < (y+1)^b, with an error count of 1;
+    no mpmath exp or log runs.  Any other alpha (complex, a <= 0, or a
+    larger denominator) takes one mpmath exp of alpha log p per prime,
+    with log p from the fixed-point log table.  A composite is one
     rounded product of two table entries.  Each entry carries an error
     count in units of 2^-w, w = prec + guard, and the guard comes from
-    the counts (see `_PowerTable` and `_per_k`).  Rational alpha enters
-    exactly, not through float."""
-    if alpha == 0.5:
-        return _per_k(_PowerTable, 3)
+    the counts (see `_PowerTable` and `_per_k`).  alpha enters exactly: a
+    Fraction as itself, a float as its binary value, so a float 1/3 (whose
+    exact denominator is 2^54) takes the exp route."""
     parts = ([alpha.real, alpha.imag] if isinstance(alpha, (complex, mpc))
              else [alpha])
     ratios = [Fraction(*to_rational(x._mpf_)) if isinstance(x, mpf)
@@ -652,7 +717,7 @@ def power_seq(alpha) -> Callable:
 
     def make(prec, guard):
         return _PowerTable(prec, guard, ratios, bound)
-    return _per_k(make, 2 * bound + 8)
+    return _per_k(make, 3 if _root_exponent(ratios) else 2 * bound + 8)
 
 
 def power_diff_eval(alpha, n: int, target_bits: int) -> BigReal:

@@ -159,7 +159,14 @@ def witness_powers(alpha=0.5, nmax: Optional[int] = None, grid=None,
     grid up to nmax (5000 if None), and the fractional log power in the
     transferred scale is foreign to holonomic expansions; for integer alpha
     the sequence is holonomic and the guesser must find a certified
-    recurrence from 100 terms, so nmax and grid are refused there."""
+    recurrence from 100 terms, so nmax and grid are refused there.
+
+    A float alpha is read once as the nearest fraction with denominator at
+    most 10^9, Fraction(alpha).limit_denominator(10**9): 1/3 for
+    0.3333333333333333, the same alpha as the Fraction 1/3 or the CLI's
+    `--alpha 1/3`.  The sums, Gamma(1-alpha) and the forbidden scale all
+    use that alpha, so a float with a small denominator takes the integer
+    root route of `hpeval.power_seq`."""
     t0 = time.monotonic()
     if hpeval.degenerate_power(alpha):
         if nmax is not None or grid is not None:
@@ -184,15 +191,16 @@ def witness_powers(alpha=0.5, nmax: Optional[int] = None, grid=None,
 
     nmax = 5000 if nmax is None else nmax
     ns = _grid(grid, nmax, 500, log_grid(500, nmax, 48))
-    values, p = _grid_and_precision(hpeval.power_seq(alpha), ns, target_bits)
-    a_frac = (Fraction(alpha) if not isinstance(alpha, float)
-              else Fraction(alpha).limit_denominator(10 ** 9))
+    a_frac = (Fraction(alpha).limit_denominator(10 ** 9)
+              if isinstance(alpha, float) else Fraction(alpha))
+    values, p = _grid_and_precision(hpeval.power_seq(a_frac), ns, target_bits)
     g1a = hpeval.gamma(1 - a_frac, target_bits)
+    a = float(a_frac)
     samples = []
     for n in ns:
         w = float(values[n].value)
-        ref = -float((mpf(math.log(n)) ** mpf(-float(alpha))) / g1a.value)
-        rho = -w * float(g1a.value) * math.log(n) ** float(alpha)
+        ref = -float((mpf(math.log(n)) ** mpf(-a)) / g1a.value)
+        rho = -w * float(g1a.value) * math.log(n) ** a
         samples.append({"x": n, "value": w, "reference": ref,
                         "deviation": rho - 1})
     verdicts = {
@@ -207,7 +215,7 @@ def witness_powers(alpha=0.5, nmax: Optional[int] = None, grid=None,
                          "provenance": "derived: the estimate is "
                                        "1 + O(1/log n) with unknown constant"},
     }
-    rep = WitnessReport("powers", {"alpha": float(alpha), "nmax": nmax,
+    rep = WitnessReport("powers", {"alpha": a, "nmax": nmax,
                                    "branch": "fractional",
                                    "grid_size": len(ns)},
                         samples, verdicts, thresholds, p,

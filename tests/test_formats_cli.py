@@ -183,12 +183,18 @@ class TestCli:
         assert payload["experiment"] == "log"
 
     def test_witness_powers_rational_alpha(self, capsys):
-        code = main(["--json", "witness", "powers", "--alpha", "1/3",
-                     "--nmax", "800"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["params"]["alpha"] == 1 / 3
-        assert payload["verdicts"] and all(payload["verdicts"].values())
+        # the float is read as the fraction 1/3, so both give one report
+        reports = []
+        for alpha in ("1/3", "0.3333333333333333"):
+            code = main(["--json", "witness", "powers", "--alpha", alpha,
+                         "--nmax", "800"])
+            assert code == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["params"]["alpha"] == 1 / 3
+            assert payload["verdicts"] and all(payload["verdicts"].values())
+            reports.append(payload)
+        a, b = reports
+        assert a["samples"] == b["samples"] and a["verdicts"] == b["verdicts"]
 
     def test_witness_nmax_below_default_grid_exit_2(self, capsys):
         assert main(["witness", "log", "--nmax", "50"]) == 2

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
 from holoseq.annihilators import SequenceStream
@@ -401,7 +402,37 @@ class TestBinarySplit:
 
 
 ALPHAS = [1 / 3, Fraction(2, 3), 3 / 2, 1 / 2, mpc(0, 1),
-          3.5, -0.7, mpc(-1.25, 2)]
+          3.5, -0.7, mpc(-1.25, 2), Fraction(1, 3), Fraction(7, 10)]
+
+
+@st.composite
+def root_inputs(draw):
+    """(n, b): b up to 16, the range `_root_near` states (the table's cap
+    is below it), and n of up to 10^4 bits, half of them a perfect b-th
+    power or one of its two neighbours."""
+    def of_length(bits):
+        return draw(st.integers((1 << bits) >> 1, (1 << bits) - 1))
+
+    b = draw(st.integers(2, 16))
+    bits = draw(st.integers(0, 10 ** 4))
+    if draw(st.booleans()):
+        return max(0, of_length(bits // b) ** b + draw(st.integers(-1, 1))), b
+    return of_length(bits), b
+
+
+class TestIntegerRoot:
+    @settings(max_examples=200, deadline=None)
+    @given(root_inputs())
+    @example((0, 3))
+    @example(((1 << 5000) - 1, 16))
+    def test_floor_of_the_root(self, nb):
+        n, b = nb
+        y = hpeval._iroot(n, b)
+        assert y ** b <= n < (y + 1) ** b
+        # Newton's estimate stays on or one above the floor (b = 2 too)
+        assert hpeval._root_near(n, b) - y in (0, 1)
+        if b == 2:
+            assert y == math.isqrt(n)
 
 
 class TestPrimeTables:
@@ -497,7 +528,10 @@ class TestPrimeTableWitnesses:
     def test_powers(self, alpha, nmax):
         report = witness.witness_powers(alpha, nmax=nmax)
         ns = [s["x"] for s in report.samples]
-        f = sqrt_seq if alpha == 0.5 else mpmath_power_seq(alpha)
+        # the witness reads a float alpha as a fraction: 1/3, not the
+        # float's binary value
+        read = Fraction(alpha).limit_denominator(10 ** 9)
+        f = sqrt_seq if alpha == 0.5 else mpmath_power_seq(read)
         self.assert_close(report, self.reference(f, ns))
 
 
@@ -544,6 +578,33 @@ class TestWorkCounts:
         calls = mpmath_calls(lambda: hpeval._f_tables(f, 2450, 1, p))
         assert calls["mpf_exp"] == len(sieve(2450))
         assert calls["mpf_log"] == 0 and calls["log"] == 0
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(2, 3), 3 / 2,
+                                       1 / 2, 7 / 2], ids=str)
+    def test_rational_power_table_takes_roots(self, alpha, monkeypatch):
+        # alpha = a/b with a > 0 and a small b: integer roots, no exp and
+        # no log table
+        logs = []
+
+        class Spy(hpeval._LogTable):
+            def __init__(self, prec, guard):
+                logs.append(prec)
+                super().__init__(prec, guard)
+
+        monkeypatch.setattr(hpeval, "_LogTable", Spy)
+        f = hpeval.power_seq(alpha)
+        p = hpeval._alternating_precision(2450, 64)
+        calls = mpmath_calls(lambda: hpeval._f_tables(f, 2450, 1, p))
+        assert calls["mpf_exp"] == 0 and calls["exp"] == 0
+        assert logs == []
+
+    @pytest.mark.parametrize("alpha", [
+        Fraction(1, hpeval._ROOT_CAP + 1), Fraction(-1, 3)], ids=str)
+    def test_other_rational_powers_take_exp(self, alpha):
+        f = hpeval.power_seq(alpha)
+        p = hpeval._alternating_precision(700, 64)
+        calls = mpmath_calls(lambda: hpeval._f_tables(f, 700, 1, p))
+        assert calls["mpf_exp"] == len(sieve(700))
 
     def test_cap_raises_before_any_f_call(self, monkeypatch):
         monkeypatch.setenv("HOLO_PRECISION_CAP", "128")
@@ -630,6 +691,17 @@ class TestGamma:
         with mp.workprec(96):
             # Gamma(-1/2) = -2 sqrt(pi)
             assert abs(g.value - (-2 * mpmath.sqrt(mpmath.pi))) <= g.bound
+
+    @pytest.mark.parametrize("x", [
+        Fraction(2, 3), Fraction(1, 3), Fraction(1, 2), Fraction(-1, 2),
+        Fraction(-5, 2), Fraction(5, 2)], ids=str)
+    @pytest.mark.parametrize("target", [64, 256])
+    def test_against_mpmath(self, x, target):
+        # Gamma(1 - alpha) at the alphas of the powers witness
+        g = gamma(x, target)
+        with mp.workprec(target + 128):
+            oracle = mpmath.gamma(mpmath_alpha(x))
+            assert abs(g.value - oracle) <= g.bound <= mpf(2) ** -target
 
     def test_doubling(self):
         for x in [Fraction(1, 2), Fraction(7, 3), Fraction(41, 10)]:

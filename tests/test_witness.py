@@ -107,6 +107,23 @@ class TestWitnessPowers:
         assert rep.verdicts["fractional_log_scale_incompatible"]
         assert any("sign" in note for note in rep.notes)
 
+    def test_float_alpha_is_read_as_a_fraction(self, monkeypatch):
+        # 0.3333333333333333 is read as 1/3, which the table takes by cube
+        # roots, as it takes the Fraction
+        seen = []
+        power_seq = hpeval.power_seq
+
+        def spy(alpha):
+            seen.append(alpha)
+            return power_seq(alpha)
+
+        monkeypatch.setattr(hpeval, "power_seq", spy)
+        a = witness_powers(1 / 3, nmax=800)
+        b = witness_powers(Fraction(1, 3), nmax=800)
+        assert seen == [Fraction(1, 3)] * 2
+        assert a.samples == b.samples and a.verdicts == b.verdicts
+        assert a.params == b.params and a.params["alpha"] == 1 / 3
+
     def test_integer_branch(self):
         rep = witness_powers(3)
         assert rep.verdicts["holonomic_branch_recurrence_found"]
