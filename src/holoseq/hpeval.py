@@ -14,7 +14,10 @@ cheaper of two exact paths: a forward-difference sweep, max(ns)^2/2
 additions, for a dense grid, and for a sparse one a direct sum at each n,
 binary splitting over the n/2 + 1 terms binom(n,k) (F_k +- F_(n-k)) of
 the symmetric binomial row; the direct sum runs when
-20 sum(ns) < max(ns)^2.
+40 sum(ns) < max(ns)^2.  The sweep holds a row as one int64 array of
+signed 32-bit limbs, one row of limbs per entry, so a row step is one
+array operation; carries are propagated every 30 rows, and a limb is
+added on top when an entry outgrows the ones it has (`_sweep`).
 Each F_k is within 1/2 + 16 M_n of 2^p f(k), M_n bounding |f(k)| for
 k <= n, so the error of D_n 2^-p is at most 2^(n-p) (1/2 + 16 M_n): the
 bound is known before the sums, and no retry is needed.
@@ -47,10 +50,12 @@ import contextvars
 import math
 import os
 from fractions import Fraction
+from itertools import accumulate
 from operator import add, sub
 from typing import Callable, Iterable, Union
 
 import mpmath
+import numpy as np
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (fone, from_man_exp, fzero, mpc_exp, mpc_mul, mpc_pos,
                           mpf_exp, mpf_mul, mpf_pos, round_nearest, round_up,
@@ -96,7 +101,8 @@ class BigReal:
     def __init__(self, value, bound=0):
         self.value = value
         self.bound = mpf(bound)
-        if self.bound < 0:
+        # the sign bit: refuses negatives and -inf, without an mpf compare
+        if self.bound._mpf_[0]:
             raise ValueError("negative error bound")
 
     @classmethod
@@ -199,7 +205,7 @@ def _indices(ns) -> list:
 
 
 # the cost of `_paired` per unit of n, in sweep additions (`_sums`)
-_PRODUCT_COST = 20
+_PRODUCT_COST = 40
 # terms summed by recurrence at a leaf of `_paired`'s product tree
 _LEAF = 16
 
@@ -211,12 +217,13 @@ def _sums(table, ns, op=sub) -> dict:
     Both paths are exact integer sums, so the result does not depend on
     the choice.  The sweep costs max(ns)^2/2 additions whatever the grid;
     the direct sum costs about c n additions at each n, c sum(ns) in all,
-    and runs when c sum(ns) < max(ns)^2 with c = 20.  Timed on log and sqrt
-    tables on sparse grids, the binary split of `_paired` breaks even with
-    the sweep at c = 8-9 at 394 bits, 9-12 at 796 bits, 12-13 at 1598 bits
-    and 13-20 at 2550 bits, where the sparse grids live, so the direct sum
-    it chooses is the faster one.  A dense grid (sum(ns) about
-    max(ns)^2/2) always sweeps."""
+    and runs when c sum(ns) < max(ns)^2 with c = 40.  Timed on log and sqrt
+    tables on sparse grids of 8 and 24 points, the binary split of
+    `_paired` breaks even with the limb sweep at c = 32-39 at 394 bits,
+    34-62 at 796 bits, 41-75 at 1598 bits and 24-54 (mostly 26-30) at
+    2550 bits; c = 40 is at most about 1.6 times off the break-even at
+    any of them.  A dense grid (sum(ns) about max(ns)^2/2) always
+    sweeps."""
     nmax = ns[-1]
     if _PRODUCT_COST * sum(ns) < nmax * nmax:
         return {n: _paired(table, n, op) for n in ns}
@@ -260,17 +267,84 @@ def _paired(table, n: int, op) -> int:
 
 def _sweep(table, ns, op=sub) -> dict:
     """The sums of `_sums` as forward differences: {n: d_n[0] for n in ns}
-    for the rows d_0 = table, d_j[k] = op(d_{j-1}[k], d_{j-1}[k+1]).  One
-    pass over n <= max(ns) keeps only the current row alive."""
-    want = set(ns)
+    for the rows d_0 = table, d_j[k] = op(d_{j-1}[k], d_{j-1}[k+1]).
+
+    Each row is one int64 array of shape (entries, L), an entry being
+    sum_i x_i 2^(32 i) over its L signed limbs x_i, so a row step is one
+    array operation on every limb, and the limbs may leave [0, 2^32)
+    between carry passes (carries propagated late; Knuth, TAOCP vol. 2,
+    4.3.1).  Row j lives at indices j..max(ns) of one of two arrays,
+    taken in turn, so its head d_j[0] stays at index j of that array and
+    no head is copied.
+
+    Headroom: a carry pass (x_i -= c_i 2^32, x_(i+1) += c_i with
+    c_i = x_i >> 32) leaves every limb of magnitude below 4/3 2^32 when
+    the limbs before it were below 4/3 2^62, and a row step at most
+    doubles a limb, so with a pass after every `_CARRY_ROWS` = 30 steps
+    no limb reaches 4/3 2^62 < 2^63.  The top limb takes the carries:
+    after each pass, once one reaches 2^31 in magnitude a limb is added
+    above it, which holds its carry (below 2^31).  An entry of row j can
+    reach 2^j times the largest entry of the table, so the limb count
+    grows with the row and is not fixed in advance.  Every operation
+    is exact in int64 and keeps the sum of the limbs, so the heads are
+    the integers of the list sweep; they are normalised at the end
+    (low limbs in [0, 2^32), the top one signed 32-bit) and read back
+    by `int.from_bytes` in two's complement."""
     nmax = ns[-1]
-    d = table[:nmax + 1]
-    out = {}
-    for n in range(nmax + 1):
-        if n in want:
-            out[n] = d[0]
-        if n < nmax:
-            d = list(map(op, d, d[1:]))
+    m = nmax + 1
+    width = max(map(int.bit_length, table[:m])) // 32 + 1
+    raw = b"".join(x.to_bytes(4 * width, "little", signed=True)
+                   for x in table[:m])
+    rows = [np.frombuffer(raw, "<u4").reshape(m, width).astype(np.int64),
+            np.zeros((m, width), np.int64)]
+    rows[0][:, -1] = np.frombuffer(raw, "<i4")[width - 1::width]
+    step = np.subtract if op is sub else np.add
+    for j in range(1, m):
+        old, new = rows[(j - 1) & 1], rows[j & 1]
+        step(old[j - 1:-1], old[j:], out=new[j:])
+        if j % _CARRY_ROWS == 0:
+            _carry(new[j:])
+            top = new[j:, -1]
+            if top.max() >= 1 << 31 or top.min() < -(1 << 31):
+                rows = [_grow(r) for r in rows]
+    # row n's head is at index n of rows[n & 1]
+    rows[0][1::2] = rows[1][1::2]
+    heads = rows[0][np.array(ns)]
+    while _carry(heads).any():
+        pass
+    heads = _grow(heads) & 0xFFFFFFFF
+    size = 4 * heads.shape[1]
+    raw = heads.astype("<u4").tobytes()
+    return dict(zip(ns, [int.from_bytes(raw[i:i + size], "little", signed=True)
+                         for i in range(0, len(raw), size)]))
+
+
+# row steps of `_sweep` between two carry passes: each at most doubles a
+# limb, and 30 of them take a limb below 4/3 2^32 to below 4/3 2^62 < 2^63
+_CARRY_ROWS = 30
+
+
+def _carry(d):
+    """One carry pass over the entries `d` (in place, C-contiguous): each
+    limb below the top keeps its residue mod 2^32 and adds the rest to
+    the limb above.  Returns the carries."""
+    c = d >> 32
+    c[:, -1] = 0
+    top = d[:, -1].copy()
+    d &= 0xFFFFFFFF
+    d[:, -1] = top
+    d.reshape(-1)[1:] += c.reshape(-1)[:-1]
+    return c
+
+
+def _grow(d):
+    """The entries `d` with one more limb on top, which takes the carry
+    of the old top limb: that one is left in [0, 2^32)."""
+    out = np.zeros((d.shape[0], d.shape[1] + 1), np.int64)
+    out[:, :-1] = d
+    c = out[:, -2] >> 32
+    out[:, -2] -= c << 32
+    out[:, -1] = c
     return out
 
 
@@ -337,12 +411,10 @@ def _error_numerators(tables, ns, p: int) -> dict:
     2^(4-p) |f(k)| of the true value."""
     rounding = len(tables) << 2 * p
     scale = 32 * ((1 << p) + 32)
-    a = 1
-    A = []
-    for entries in zip(*tables):
-        a = max(a, sum(abs(e) for e in entries) + 1)
-        A.append(a)
-    return {n: rounding + scale * A[n] for n in ns}
+    mags = (map(abs, tables[0]) if len(tables) == 1
+            else (abs(x) + abs(y) for x, y in zip(*tables)))
+    A = list(accumulate(mags, max))
+    return {n: rounding + scale * (A[n] + 1) for n in ns}
 
 
 def binomial_diff_eval(f: Callable, n: int, target_bits: int,
@@ -364,7 +436,7 @@ def binomial_diff_grid(f: Callable, ns: Iterable[int], target_bits: int,
     The table holds the integers F_k = round(f(k, p) 2^p) for k <= max(ns),
     with F_k = 0 for k < start, at p = n + target_bits + 2 log2 n + 12 bits
     for the largest n.  `_sums` adds them up exactly, by one
-    forward-difference sweep when 20 sum(ns) >= max(ns)^2 (a dense grid)
+    forward-difference sweep when 40 sum(ns) >= max(ns)^2 (a dense grid)
     and otherwise by the direct binomial sum at each n, a binary split.
     The error bound is therefore known before the sums:
     |value - sum| <= 2^(n-p) (1/2 + 16 M_n), with M_n an upper bound on
@@ -409,7 +481,7 @@ def binomial_diff_stream_grid(stream, ns: Iterable[int], target_bits: int,
     The terms are rounded to F_k = round(t_k 2^p) at the working precision
     p of `binomial_diff_grid` and summed exactly by `_sums`, which sweeps
     a dense grid and sums a sparse one directly by binary splitting
-    (20 sum(ns) < max(ns)^2);
+    (40 sum(ns) < max(ns)^2);
     the same sums with + in place of - over ceil(b_k 2^p) + 1 give the
     bound 2^-p sum_k binom(n,k) (ceil(b_k 2^p) + 1) exactly.  The achievable
     accuracy is limited by the data: if that bound exceeds

@@ -21,7 +21,8 @@ from itertools import accumulate
 from typing import List, Optional
 
 import numpy as np
-from mpmath import mpf
+from mpmath import mpc, mpf
+from mpmath.libmp import to_rational
 
 from . import hpeval
 from .abelian import AsymptoticScale, verify_transfer
@@ -166,8 +167,12 @@ def witness_powers(alpha=0.5, nmax: Optional[int] = None, grid=None,
     0.3333333333333333, the same alpha as the Fraction 1/3 or the CLI's
     `--alpha 1/3`.  The sums, Gamma(1-alpha) and the forbidden scale all
     use that alpha, so a float with a small denominator takes the integer
-    root route of `hpeval.power_seq`."""
+    root route of `hpeval.power_seq`; an mpf alpha is read the same way,
+    from its exact binary value.  A complex alpha is refused: Gamma is
+    evaluated on the real line only."""
     t0 = time.monotonic()
+    if isinstance(alpha, (complex, mpc)):
+        raise ValueError(f"alpha must be real, not {alpha}")
     if hpeval.degenerate_power(alpha):
         if nmax is not None or grid is not None:
             raise ValueError(f"alpha = {alpha} is an integer: the guess reads "
@@ -191,8 +196,10 @@ def witness_powers(alpha=0.5, nmax: Optional[int] = None, grid=None,
 
     nmax = 5000 if nmax is None else nmax
     ns = _grid(grid, nmax, 500, log_grid(500, nmax, 48))
-    a_frac = (Fraction(alpha).limit_denominator(10 ** 9)
-              if isinstance(alpha, float) else Fraction(alpha))
+    exact = (Fraction(*to_rational(alpha._mpf_)) if isinstance(alpha, mpf)
+             else Fraction(alpha))
+    a_frac = (exact.limit_denominator(10 ** 9)
+              if isinstance(alpha, (float, mpf)) else exact)
     values, p = _grid_and_precision(hpeval.power_seq(a_frac), ns, target_bits)
     g1a = hpeval.gamma(1 - a_frac, target_bits)
     a = float(a_frac)

@@ -278,12 +278,12 @@ class TestSumPaths:
 
     @pytest.mark.parametrize("op", OPS, ids=["sub", "add"])
     def test_both_sides_of_the_switch(self, op, monkeypatch):
-        # 20 sum(ns) against max(ns)^2 = 40000: sum 1764 sums directly,
-        # sum 2145 sweeps
+        # 40 sum(ns) against max(ns)^2 = 40000: sum 990 sums directly,
+        # sum 1185 sweeps
         rng = random.Random(33)
         table = mixed_table(rng, 201)
-        for ns, path in ((list(range(192, 201)), "_paired"),
-                         (list(range(190, 201)), "_sweep")):
+        for ns, path in ((list(range(196, 201)), "_paired"),
+                         (list(range(195, 201)), "_sweep")):
             want = {n: comb_sum(table, n, op) for n in ns}
             taken = self.spied(monkeypatch)
             assert hpeval._sums(table, ns, op) == want
@@ -356,6 +356,52 @@ class TestSumPaths:
                       for n, v in sorted(values.items())])
         assert hashlib.sha256(canon.encode()).hexdigest()[:16] \
             == want["grid_sha256"]
+
+
+class TestLimbSweep:
+    """`hpeval._sweep` runs on int64 arrays of signed 32-bit limbs, with
+    carries propagated every 30 rows and a top limb added when an entry
+    outgrows its limbs; it must give the integers of `comb_sum`."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(size=st.integers(1, 300),
+           width=st.sampled_from([0, 31, 32, 33, 63, 64, 65, None]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           op=st.sampled_from(OPS))
+    def test_against_comb_sum(self, size, width, seed, op):
+        # entries of exactly `width` bits, or of random widths up to 3000
+        # bits (None), with mixed signs; ns always holds 0 and nmax
+        rng = random.Random(seed)
+        if width is None:
+            table = mixed_table(rng, size)
+        else:
+            table = [rng.choice((-1, 1)) * rng.randrange(1 << width >> 1,
+                                                         1 << width)
+                     for _ in range(size)]
+        ns = sorted({0, size - 1} | set(rng.sample(range(size), min(size, 6))))
+        assert hpeval._sweep(table, ns, op) \
+            == {n: comb_sum(table, n, op) for n in ns}
+
+    @pytest.mark.parametrize("bits", [31, 32, 64])
+    def test_top_limb_grows(self, bits, monkeypatch):
+        # +-(2^b - 1), alternating for `sub` and of one sign for `add`:
+        # every row doubles the entries, so the sum at n is (2^b - 1) 2^n
+        grown = []
+        grow = hpeval._grow
+
+        def spy(d):
+            grown.append(d.shape[1])
+            return grow(d)
+
+        monkeypatch.setattr(hpeval, "_grow", spy)
+        c = (1 << bits) - 1
+        ns = list(range(301))
+        for op, sign in ((operator.sub, -1), (operator.add, 1)):
+            for top in (c, -c):
+                table = [top * sign ** k for k in ns]
+                assert hpeval._sweep(table, ns, op) == {n: top << n for n in ns}
+        # 300 doublings take about 9 limbs above the first ones
+        assert max(grown) >= (bits + 300) // 32
 
 
 class TestBinarySplit:

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from mpmath import mpf
 
 from holoseq import hpeval
 from holoseq.series import Series
@@ -123,6 +124,20 @@ class TestWitnessPowers:
         assert seen == [Fraction(1, 3)] * 2
         assert a.samples == b.samples and a.verdicts == b.verdicts
         assert a.params == b.params and a.params["alpha"] == 1 / 3
+
+    def test_mpf_alpha_is_read_as_a_float(self):
+        # mpf(1)/3 has the binary value of the float 1/3, and is read as 1/3
+        a = witness_powers(mpf(1) / 3, nmax=600)
+        b = witness_powers(Fraction(1, 3), nmax=600)
+        assert a.samples == b.samples and a.verdicts == b.verdicts
+
+    def test_complex_alpha_refused_before_any_sum(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a sum ran")
+
+        monkeypatch.setattr(hpeval, "binomial_diff_grid", never)
+        with pytest.raises(ValueError, match="alpha must be real"):
+            witness_powers(1j, nmax=600)
 
     def test_integer_branch(self):
         rep = witness_powers(3)
