@@ -51,7 +51,7 @@ import math
 import os
 from fractions import Fraction
 from itertools import accumulate
-from operator import add, sub
+from operator import add, index, sub
 from typing import Callable, Iterable, Union
 
 import mpmath
@@ -289,12 +289,15 @@ def _sweep(table, ns, op=sub) -> dict:
     is exact in int64 and keeps the sum of the limbs, so the heads are
     the integers of the list sweep; they are normalised at the end
     (low limbs in [0, 2^32), the top one signed 32-bit) and read back
-    by `int.from_bytes` in two's complement."""
+    by `int.from_bytes` in two's complement.  The entries may be of any
+    integer type (a gmpy2 mpz under mpmath's gmpy backend): they are read
+    as ints once, by `operator.index`."""
     nmax = ns[-1]
     m = nmax + 1
-    width = max(map(int.bit_length, table[:m])) // 32 + 1
+    table = list(map(index, table[:m]))
+    width = max(map(int.bit_length, table)) // 32 + 1
     raw = b"".join(x.to_bytes(4 * width, "little", signed=True)
-                   for x in table[:m])
+                   for x in table)
     rows = [np.frombuffer(raw, "<u4").reshape(m, width).astype(np.int64),
             np.zeros((m, width), np.int64)]
     rows[0][:, -1] = np.frombuffer(raw, "<i4")[width - 1::width]

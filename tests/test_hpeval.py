@@ -403,6 +403,32 @@ class TestLimbSweep:
         # 300 doublings take about 9 limbs above the first ones
         assert max(grown) >= (bits + 300) // 32
 
+    @pytest.mark.parametrize("op", OPS, ids=["sub", "add"])
+    def test_integers_not_of_type_int(self, op):
+        # gmpy2's mpz, which `_scaled` returns under mpmath's gmpy backend,
+        # is an integer type that does not derive from int
+        class Mpz:
+            def __init__(self, v):
+                self.v = v
+
+            def __index__(self):
+                return self.v
+
+            __int__ = __index__
+
+            def __add__(self, other):
+                return Mpz(self.v + int(other))
+
+            def __sub__(self, other):
+                return Mpz(self.v - int(other))
+
+        rng = random.Random(36)
+        table = mixed_table(rng, 120)
+        ns = [0, 7, 60, 119]
+        assert not isinstance(Mpz(1), int)
+        assert hpeval._sweep([Mpz(x) for x in table], ns, op) \
+            == {n: comb_sum(table, n, op) for n in ns}
+
 
 class TestBinarySplit:
     """`hpeval._paired` sums the symmetric binomial row by binary splitting;
