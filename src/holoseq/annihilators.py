@@ -45,6 +45,19 @@ class LeadingCoefficientZero(Exception):
         super().__init__(f"leading coefficient vanishes at n = {n}")
 
 
+def _removable_factor(g: Poly) -> Poly:
+    """g without its factors (n - r) for integer roots r >= 0: the part of
+    a common factor of a recurrence's coefficients that can be divided out
+    without changing the relation at any index n >= 0."""
+    if g.degree < 1:
+        return g
+    roots, _ = rational_roots_and_cofactor(g)
+    for r, mult in roots:
+        if r.denominator == 1 and r >= 0:
+            g = g.exact_div(Poly([-r, 1]) ** mult)
+    return g
+
+
 class Recurrence:
     """Linear recurrence with polynomial coefficients.
 
@@ -92,10 +105,7 @@ class Recurrence:
             g = poly_gcd(g, p)
             if g.degree < 1:
                 return self
-        roots, _ = rational_roots_and_cofactor(g)
-        for r, mult in roots:
-            if r.denominator == 1 and r >= 0:
-                g = g.exact_div(Poly([-r, 1]) ** mult)
+        g = _removable_factor(g)
         if g.degree < 1:
             return self
         return Recurrence([p.exact_div(g) for p in self.coeffs],

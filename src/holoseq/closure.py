@@ -12,10 +12,13 @@ bound.  Every elimination goes through `_dependencies` to
 recurrences, `_shift_vectors` keeps the k-th shift as Poly numerators over
 the known denominator p_0(n) ... p_0(n+k-r), so no rational function is
 formed, and one core `_closure` serves the sum and the termwise product.
-At the ODE level one chain-rule core over Q(w), `_compose`, builds the
-operator of r(w) * y(rho(w)): substitution is r = 1, multiplication by a
-rational function is rho = w, and the binomial transform is one call with
-both.  No term data is consulted.
+At the ODE level one chain-rule core, `_compose`, builds the operator of
+r(w) * y(rho(w)): substitution is r = 1, multiplication by a rational
+function is rho = w, and the binomial transform is one call with both.
+Its k-th derivative is kept the same way, as Poly numerators over the
+denominator S^(k+1) B^(2k) P_0^k known in advance (r = R/S, rho = A/B, P_0
+the leading coefficient evaluated at rho and cleared by B), so no
+rational-function arithmetic runs anywhere.  No term data is consulted.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from typing import Optional
 
 from . import hpeval
 from .annihilators import (DiffOp, LeadingCoefficientZero, Recurrence, SequenceStream,
-                           ode_to_rec, rec_to_ode, unroll)
-from .kernel import Poly, RatFun, _as_ratfun, _scaled, nullspace, poly_gcd, rational_roots
+                           _removable_factor, ode_to_rec, rec_to_ode, unroll)
+from .kernel import Poly, RatFun, _scaled, nullspace, poly_gcd, rational_roots
 
 
 class DegenerateSubstitution(Exception):
@@ -82,13 +85,17 @@ def _best_annihilator(basis, initial_terms=None) -> Recurrence:
 
 
 def _cancel_over(c, den):
-    """c divided by the common factor of its entries, which divides `den`:
-    the gcd chain starts at `den`.  `Recurrence` normalises the content."""
+    """c divided by the common factor g of its entries, which divides
+    `den`: the gcd chain starts at `den`.  Every factor (n - r) of g with an
+    integer root r >= 0 stays, since the relation c holds at every n >= 0
+    and the divided one could fail at n = r.  `Recurrence` normalises the
+    content."""
     g = den
     for p in c:
         if g.degree == 0:
             return c
         g = poly_gcd(g, p)
+    g = _removable_factor(g)
     return c if g.degree == 0 else [p.exact_div(g) for p in c]
 
 
@@ -174,53 +181,79 @@ def binomial_diff_seq(seq, N: int, include_zero_term: bool = True,
 # Rational substitution and rational multiplication at the ODE level
 # ---------------------------------------------------------------------------
 
-def _compose(ode: DiffOp, rho: RatFun, r: RatFun) -> DiffOp:
+def _compose(ode: DiffOp, rho, r) -> DiffOp:
     """Operator of order e = order(ode) annihilating r(w) * y(rho(w)) for
-    every solution y of the given operator.
+    every solution y of the given operator; rho = A/B and r = R/S are
+    given as (numerator, denominator) pairs of Polys.
 
     With g_i = y^(i) o rho, the chain rule gives (c g_i)' = c' g_i +
-    c rho' g_{i+1}, and g_e reduces against the operator evaluated at
-    rho(w).  So h = r g_0 and its derivatives are vectors over g_0..g_{e-1}
-    with entries in Q(w).  The e functions r * (y o rho) are independent,
-    so h, ..., h^(e-1) are too, and h, ..., h^(e) have exactly one
-    dependency: the annihilator."""
-    drho = rho.derivative()
-    if drho.is_zero():
+    c rho' g_{i+1}, with rho' = W/B^2, W = A'B - AB', and g_e reduces
+    against the operator at rho: g_e = -sum_i Q_{e-i}/P_0 g_i, with
+    Q_j = B^d q_j(A/B) for d the largest coefficient degree and P_0 = Q_0.
+    So h = r g_0 and its derivatives are vectors over g_0..g_{e-1}; the
+    k-th is kept as Poly numerators N over D_k = S^(k+1) B^(2k) P_0^k.
+    For D = S^a B^b P_0^c,
+        (N/D)' = (N'SBP_0 - N(aS'BP_0 + bSB'P_0 + cSBP_0'))/(D SBP_0),
+    so one derivative step multiplies the denominator by S B^2 P_0 and
+    needs no gcd.  The e functions r * (y o rho) are independent, so
+    h, ..., h^(e-1) are too, and h, ..., h^(e) have exactly one
+    dependency v of the columns N; c_k = v_k D_k is the annihilator, which
+    `DiffOp` puts in normal form."""
+    (A, B), (R, S) = rho, r
+    W = A.derivative() * B - A * B.derivative()
+    if W.is_zero():
         raise DegenerateSubstitution("substitution has zero derivative")
-    if r.is_zero():
+    if R.is_zero():
         raise ValueError("multiplication by the zero function")
     e = ode.order
     if e == 0:
         return DiffOp([Poly([1])])
-    q_at = [_as_ratfun(q(rho)) for q in ode.coeffs]
-    red = [-(q_at[e - i] / q_at[0]) for i in range(e)]  # g_e = sum red[i] g_i
-    vecs = [[r] + [RatFun(0)] * (e - 1)]
-    for _ in range(e):
-        prev = vecs[-1]
-        nxt = [c.derivative() for c in prev]
+    d = ode.degree
+    mono = [A ** m * B ** (d - m) for m in range(d + 1)]  # B^d (A/B)^m
+    Q = [sum((c * x for c, x in zip(q.coeffs, mono)), Poly()) for q in ode.coeffs]
+    P0 = Q[0]
+    SB = S * B
+    sbp = SB * P0
+    dS, dB, dP = S.derivative() * B * P0, S * B.derivative() * P0, SB * P0.derivative()
+    wsp = W * S * P0
+    red = [W * S * Q[e - i] for i in range(e)]
+    cols = [[R] + [Poly()] * (e - 1)]
+    for k in range(e):
+        # D_k = S^(k+1) B^(2k) P_0^k
+        dlog = (k + 1) * dS + 2 * k * dB + k * dP
+        prev = cols[-1]
+        nxt = [B * (N.derivative() * sbp - N * dlog) for N in prev]
         for i in range(e - 1):
-            nxt[i + 1] = nxt[i + 1] + prev[i] * drho
-        top = prev[e - 1] * drho
-        if not top.is_zero():
-            nxt = [c + top * q for c, q in zip(nxt, red)]
-        vecs.append(nxt)
-    (v,) = _dependencies(vecs)
-    return DiffOp(list(reversed(v)))
+            nxt[i + 1] = nxt[i + 1] + prev[i] * wsp
+        top = prev[e - 1]
+        if top:
+            nxt = [x - top * q for x, q in zip(nxt, red)]
+        cols.append(nxt)
+    (v,) = _dependencies(cols)
+    c, D = [], S
+    for x in v:
+        c.append(x * D)
+        D = D * sbp * B
+    return DiffOp(list(reversed(c)))
 
 
-def substitute_rational(ode: DiffOp, rho: RatFun) -> DiffOp:
+def _num_den(f):
+    """(numerator, denominator) of a RatFun, a Poly, an int or a Fraction."""
+    if not isinstance(f, RatFun):
+        f = RatFun(f)
+    return f.num, f.den
+
+
+def substitute_rational(ode: DiffOp, rho) -> DiffOp:
     """Operator annihilating y(rho(w)) for every solution y of the given
-    operator."""
-    if not isinstance(rho, RatFun):
-        rho = RatFun(rho)
-    return _compose(ode, rho, RatFun(1))
+    operator; rho is a RatFun, a Poly, an int or a Fraction."""
+    return _compose(ode, _num_den(rho), (Poly([1]), Poly([1])))
 
 
-def multiply_by_ratfun(ode: DiffOp, r: RatFun) -> DiffOp:
-    """Operator annihilating r(w) * y(w) for every solution y."""
-    if not isinstance(r, RatFun):
-        r = RatFun(r)
-    return _compose(ode, RatFun(Poly([0, 1])), r)
+def multiply_by_ratfun(ode: DiffOp, r) -> DiffOp:
+    """Operator annihilating r(w) * y(w) for every solution y; r is a
+    RatFun, a Poly, an int or a Fraction."""
+    return _compose(ode, (Poly([0, 1]), Poly([1])), _num_den(r))
 
 
 def binomial_transform_op(rec: Recurrence) -> Recurrence:
@@ -233,5 +266,5 @@ def binomial_transform_op(rec: Recurrence) -> Recurrence:
     if rec.initial_terms is None:
         raise ValueError("binomial_transform_op needs initial terms")
     one_minus_w = Poly([1, -1])
-    return ode_to_rec(_compose(rec_to_ode(rec), RatFun(Poly([0, -1]), one_minus_w),
-                               RatFun(Poly([1]), one_minus_w)))
+    return ode_to_rec(_compose(rec_to_ode(rec), (Poly([0, -1]), one_minus_w),
+                               (Poly([1]), one_minus_w)))

@@ -1,14 +1,15 @@
-"""Exact arithmetic foundation: dense univariate polynomials and rational
-functions over arbitrary-precision rationals, exact nullspaces of matrices
-over Q or Q(x), and rational roots.
+"""Exact arithmetic foundation: dense univariate polynomials over
+arbitrary-precision rationals, exact nullspaces of matrices over Q or Q[x],
+rational roots, and `RatFun`, a reduced rational-function value that the
+ODE closures take as input and that has no arithmetic of its own.
 
 A `Poly` is integers over one denominator, so its arithmetic is integer
 arithmetic: division is pseudo-division, and `poly_gcd` is the primitive
 remainder sequence over Z (Knuth, TAOCP Vol. 2, 4.6.1).
 
-`nullspace` has one eliminator for both fields: rows are scaled to integral
-form (ints, or Polys via `clear_denominators`) and reduced by fraction-free
-Bareiss elimination, so no rational-function arithmetic happens inside it.
+`nullspace` has one eliminator for both rings: rows are reduced by
+fraction-free Bareiss elimination, so no rational-function arithmetic
+happens inside it.
 
 Rational roots come from p-adic lifting of the roots of the squarefree
 part s modulo a small prime to a modulus above 2 |lead(s) s(0)|, with no
@@ -297,12 +298,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly()
-    return (a * b).exact_div(poly_gcd(a, b)).monic()
-
-
 def poly_arith(a: Poly, b, op: str) -> Poly:
     """Spec-level polynomial arithmetic dispatcher.
 
@@ -319,8 +314,9 @@ def poly_arith(a: Poly, b, op: str) -> Poly:
 
 
 class RatFun:
-    """Rational function: quotient of two Polys, stored reduced with a
-    monic denominator."""
+    """Rational function num/den as an input value: two Polys, stored
+    reduced with a monic denominator.  It has no arithmetic; the closures
+    read `num` and `den`."""
 
     __slots__ = ("num", "den")
 
@@ -345,65 +341,14 @@ class RatFun:
         return bool(self.num)
 
     def __eq__(self, other):
-        other = _as_ratfun(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction, Poly)):
+            other = RatFun(other)
+        if not isinstance(other, RatFun):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def __add__(self, other):
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFun(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFun(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _as_ratfun(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFun(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return _as_ratfun(other) / self
-
-    def derivative(self) -> "RatFun":
-        return RatFun(self.num.derivative() * self.den
-                      - self.num * self.den.derivative(),
-                      self.den * self.den)
-
-    def shift_arg(self, c: Rational) -> "RatFun":
-        """X |-> self(X + c)."""
-        return RatFun(self.num.shift_arg(c), self.den.shift_arg(c))
-
-    def __call__(self, x):
-        return self.num(x) / self.den(x)
 
     def __repr__(self):
         if self.den == Poly([1]):
@@ -411,36 +356,17 @@ class RatFun:
         return f"RatFun({self.num!r}, {self.den!r})"
 
 
-def _as_ratfun(x):
-    if isinstance(x, RatFun):
-        return x
-    if isinstance(x, (int, Fraction, Poly)):
-        return RatFun(x)
-    return NotImplemented
-
-
 # ---------------------------------------------------------------------------
 # Exact nullspace
 # ---------------------------------------------------------------------------
 
-def clear_denominators(vec) -> list:
-    """Polys proportional to the given entries (ints, Fractions, Polys or
-    RatFuns): each entry times the monic lcm of all denominators."""
-    rfs = [_as_ratfun(c) for c in vec]
-    L = Poly([1])
-    for c in rfs:
-        if c.den.degree > 0:
-            L = poly_lcm(L, c.den)
-    return [c.num * L.exact_div(c.den) for c in rfs]
-
-
 def nullspace(m: Sequence[Sequence]) -> list:
     """Exact basis of the right nullspace of a rectangular matrix.
 
-    Entries may be ints/Fractions or Poly/RatFun.  Each row is scaled to
-    integral form (scalar rows to ints by the lcm of their denominators,
-    other rows to Polys by `clear_denominators`), and one fraction-free
-    Bareiss elimination runs over Z or Q[x].  Returns one primitive vector
+    Entries are ints/Fractions, or Polys, among which an int or a Fraction
+    is read as a constant Poly.  Scalar rows are scaled to ints by the lcm
+    of their denominators, and one fraction-free Bareiss elimination runs
+    over Z or Q[x].  Returns one primitive vector
     per free column: ints with gcd 1 for scalar input, otherwise Polys with
     no common polynomial factor and coprime integer coefficients.  An empty
     list means the nullspace is trivial.
@@ -456,7 +382,7 @@ def nullspace(m: Sequence[Sequence]) -> list:
     if all(isinstance(x, (int, Fraction)) for r in rows for x in r):
         mat = [_scaled(r)[0] for r in rows]
         return _bareiss_nullspace(mat, ncols, 1, 0)
-    mat = [clear_denominators(r) for r in rows]
+    mat = [[_as_poly(x) for x in r] for r in rows]
     return _bareiss_nullspace(mat, ncols, Poly([1]), Poly())
 
 

@@ -12,8 +12,10 @@ from mpmath import mp, mpf
 from mpmath.libmp import to_rational
 
 from holoseq import guess, singclass
-from holoseq.annihilators import DiffOp, Recurrence, from_theta_slices, theta_slices
-from holoseq.kernel import Poly, RatFun
+from holoseq.annihilators import (DiffOp, Recurrence, from_theta_slices, ode_to_rec, rec_to_ode,
+                                  theta_slices)
+from holoseq.closure import DegenerateSubstitution, _op_key
+from holoseq.kernel import Poly, RatFun, nullspace, poly_gcd
 
 
 def P(*coeffs):
@@ -115,21 +117,130 @@ def random_recurrence(rng):
     return Recurrence(rec.coeffs, initial_terms=init)
 
 
+class FieldRatFun(RatFun):
+    """Reference element of Q(x): `RatFun` with the field operations, the
+    derivative and the shift, every result reduced by the gcd normal form
+    of `RatFun.__init__`."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        other = _as_field(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return FieldRatFun(self.num * other.den + other.num * self.den,
+                           self.den * other.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FieldRatFun(-self.num, self.den)
+
+    def __sub__(self, other):
+        other = _as_field(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return _as_field(other) + (-self)
+
+    def __mul__(self, other):
+        other = _as_field(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return FieldRatFun(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _as_field(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero rational function")
+        return FieldRatFun(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other):
+        return _as_field(other) / self
+
+    def derivative(self):
+        return FieldRatFun(self.num.derivative() * self.den
+                           - self.num * self.den.derivative(),
+                           self.den * self.den)
+
+    def shift_arg(self, c):
+        """X |-> self(X + c)."""
+        return FieldRatFun(self.num.shift_arg(c), self.den.shift_arg(c))
+
+
+def _as_field(x):
+    if isinstance(x, FieldRatFun):
+        return x
+    if isinstance(x, RatFun):
+        return FieldRatFun(x.num, x.den)
+    if isinstance(x, (int, Fraction, Poly)):
+        return FieldRatFun(x)
+    return NotImplemented
+
+
+def clear_denominators(vec):
+    """Polys proportional to the given entries (ints, Fractions, Polys or
+    RatFuns): each entry times the monic lcm of all denominators."""
+    rfs = [_as_field(c) for c in vec]
+    L = Poly([1])
+    for c in rfs:
+        if c.den.degree > 0:
+            L = (L * c.den).exact_div(poly_gcd(L, c.den)).monic()
+    return [c.num * L.exact_div(c.den) for c in rfs]
+
+
 def random_ratfun(rng, maxdeg=2, nonconstant=False, pole=False):
     """Nonzero rational function of numerator and denominator degree <=
-    maxdeg; `nonconstant` forces a nonzero derivative, `pole` a
-    nonconstant denominator."""
+    maxdeg, as a `FieldRatFun`; `nonconstant` forces a nonzero derivative,
+    `pole` a nonconstant denominator."""
     while True:
         num = _rand_poly(rng, maxdeg)
         den = _rand_poly(rng, maxdeg)
         if num.is_zero() or den.is_zero():
             continue
-        f = RatFun(num, den)
+        f = FieldRatFun(num, den)
         if nonconstant and f.derivative().is_zero():
             continue
         if pole and f.den.degree == 0:
             continue
         return f
+
+
+def rec_with_free_index(rng):
+    """Order 1..3 recurrence whose p_0 = (n - j) c(n) vanishes at an index
+    j in 0..3, so a solution takes a free value there; half the time every
+    coefficient shares the factor (n - j).  The other coefficients have
+    degree <= 1 (times that factor), and c has no root n >= 0."""
+    r = rng.randint(1, 3)
+    root = Poly([-rng.randint(0, 3), 1])
+    ps = [Poly([rng.randint(-3, 3) for _ in range(2)]) for _ in range(r)]
+    if ps[-1].is_zero():
+        ps[-1] = Poly([1])
+    if rng.random() < 0.5:
+        ps = [p * root for p in ps]
+    return Recurrence([root * Poly([rng.randint(1, 3), rng.randint(0, 2)])] + ps)
+
+
+def recurrence_solution(rec, N, rng):
+    """u_0..u_{N-1} of a random solution of `rec` at every n >= 0: a random
+    integer combination of the nullspace of the relations at n = 0..N-r-1,
+    which also draws the free values where p_0 vanishes.  For N above r plus
+    the largest root n >= 0 of p_0, every such prefix extends to a
+    solution."""
+    r = rec.order
+    rows = [[0] * N for _ in range(N - r)]
+    for n, row in enumerate(rows):
+        for i, p in enumerate(rec.coeffs):
+            row[n + r - i] = p(n)
+    basis = nullspace(rows)
+    ts = [rng.randint(-3, 3) for _ in basis]
+    return [sum(t * v[m] for t, v in zip(ts, basis)) for m in range(N)]
 
 
 def full_degree_rec(rng, order):
@@ -152,26 +263,81 @@ def full_degree_rec(rng, order):
 def ratfun_shift_vectors(rec, K):
     """Reference for `closure._shift_vectors` in Q(n) arithmetic: the
     vectors of S^k u (k = 0..K) in the basis u_n, ..., u_{n+r-1}, as
-    lists of `RatFun`s.  Each step shifts the previous vector and reduces
-    u_{n+r} by u_{n+r} = -sum_i p_{r-i}(n)/p_0(n) u_{n+i}."""
+    lists of `FieldRatFun`s.  Each step shifts the previous vector and
+    reduces u_{n+r} by u_{n+r} = -sum_i p_{r-i}(n)/p_0(n) u_{n+i}."""
     r = rec.order
     if r == 0:
-        return [[RatFun(1 if k == 0 else 0)] for k in range(K + 1)]
-    p0 = RatFun(rec.coeffs[0])
-    red = [-(RatFun(rec.coeffs[r - i]) / p0) for i in range(r)]
+        return [[FieldRatFun(1 if k == 0 else 0)] for k in range(K + 1)]
+    p0 = FieldRatFun(rec.coeffs[0])
+    red = [-(FieldRatFun(rec.coeffs[r - i]) / p0) for i in range(r)]
     vecs = []
     for k in range(min(r, K + 1)):
-        v = [RatFun(0)] * r
-        v[k] = RatFun(1)
+        v = [FieldRatFun(0)] * r
+        v[k] = FieldRatFun(1)
         vecs.append(v)
     for k in range(r, K + 1):
         shifted = [c.shift_arg(1) for c in vecs[-1]]
         lead = shifted[r - 1]
-        v = [RatFun(0)] + shifted[:r - 1]
+        v = [FieldRatFun(0)] + shifted[:r - 1]
         if not lead.is_zero():
             v = [c + lead * q for c, q in zip(v, red)]
         vecs.append(v)
     return vecs
+
+
+# Reference implementations of the ODE-level closures as they stood before
+# the one chain-rule core, in Q(x) arithmetic: substitution selecting among
+# all nullspace vectors, multiplication by the Leibniz formula, and the
+# transform as substitution followed by multiplication.
+
+def _ref_substitute_rational(ode, rho):
+    rho = _as_field(rho)
+    drho = rho.derivative()
+    if drho.is_zero():
+        raise DegenerateSubstitution("substitution has zero derivative")
+    e = ode.order
+    if e == 0:
+        return DiffOp([Poly([1])])
+    q_at = [_as_field(q(rho)) for q in ode.coeffs]
+    q0 = q_at[0]
+    red = [-(q_at[e - i] / q0) for i in range(e)]
+    vecs = [[FieldRatFun(1)] + [FieldRatFun(0)] * (e - 1)]
+    for _ in range(e):
+        prev = vecs[-1]
+        nxt = [c.derivative() for c in prev]
+        for i in range(e - 1):
+            nxt[i + 1] = nxt[i + 1] + prev[i] * drho
+        top = prev[e - 1] * drho
+        if not top.is_zero():
+            for i in range(e):
+                nxt[i] = nxt[i] + top * red[i]
+        vecs.append(nxt)
+    basis = nullspace([clear_denominators([vecs[j][i] for j in range(e + 1)])
+                       for i in range(e)])
+    return min((DiffOp(list(reversed(v))) for v in basis), key=_op_key)
+
+
+def _ref_multiply_by_ratfun(ode, r):
+    e = ode.order
+    s = FieldRatFun(1) / r
+    s_derivs = [s]
+    for _ in range(e):
+        s_derivs.append(s_derivs[-1].derivative())
+    # y = s*u; y^(k) = sum_j C(k,j) s^(j) u^(k-j)
+    out = [FieldRatFun(0)] * (e + 1)
+    for k in range(e + 1):
+        a = FieldRatFun(ode.coeffs[e - k])
+        if a.is_zero():
+            continue
+        for j in range(k + 1):
+            out[k - j] = out[k - j] + a * s_derivs[j] * math.comb(k, j)
+    return DiffOp(list(reversed(clear_denominators(out))))
+
+
+def _ref_binomial_transform_op(rec):
+    rho = FieldRatFun(P(0, -1), P(1, -1))
+    sub = _ref_substitute_rational(rec_to_ode(rec), rho)
+    return ode_to_rec(_ref_multiply_by_ratfun(sub, FieldRatFun(P(1), P(1, -1))))
 
 
 class FractionPoly:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -13,15 +14,12 @@ from holoseq.annihilators import (
     SequenceStream,
     apply,
     apply_diffop_to_series,
-    ode_to_rec,
-    rec_to_ode,
     unroll,
 )
 from holoseq import closure
 from holoseq.closure import (
     DegenerateSubstitution,
     _best_annihilator,
-    _op_key,
     binomial_diff_seq,
     binomial_transform_op,
     closure_hadamard,
@@ -29,11 +27,13 @@ from holoseq.closure import (
     multiply_by_ratfun,
     substitute_rational,
 )
-from holoseq.kernel import Poly, RatFun, _as_ratfun, _primitive, clear_denominators, nullspace
+from holoseq.kernel import Poly, RatFun, _primitive, poly_gcd, rational_roots
 from holoseq.series import Series, geometric
 from holoseq.formats import operator_to_dict
-from seqlib import (full_degree_rec, random_diffop, random_ratfun, random_recurrence,
-                    ratfun_shift_vectors)
+from seqlib import (_ref_binomial_transform_op, _ref_multiply_by_ratfun,
+                    _ref_substitute_rational, full_degree_rec, random_diffop, random_ratfun,
+                    random_recurrence, ratfun_shift_vectors, rec_with_free_index,
+                    recurrence_solution)
 
 
 def P(*coeffs):
@@ -234,6 +234,22 @@ class TestClosureSum:
                     op(x, y)
                 assert err.value.n == 0
 
+    def test_free_values_at_roots_of_p0(self):
+        # 2n u_{n+1} + n(n-1) u_n = 0 leaves u_1 free, and n(n+2) v_{n+1} +
+        # 2 v_n = 0 leaves v_1 free; the closures must hold from n = 0 on,
+        # so their common factor n stays
+        a = Recurrence([P(0, 2), P(0, -1, 1)])
+        b = Recurrence([P(0, 2, 1), P(2)])
+        u = [Fraction(1), Fraction(1)] + [Fraction(0)] * 10
+        v = [Fraction(0), Fraction(1)]
+        for n in range(1, 11):
+            v.append(-2 * v[n] / (n * (n + 2)))
+        assert apply(a, u, range(11)) == [0] * 11 and apply(b, v, range(11)) == [0] * 11
+        for x, y in ((a, b), (b, a)):
+            assert apply(closure_sum(x, y), [p + q for p, q in zip(u, v)], range(8)) == [0] * 8
+            assert apply(closure_hadamard(x, y), [p * q for p, q in zip(u, v)],
+                         range(8)) == [0] * 8
+
     def test_order_zero_operand_with_initial_terms(self):
         # (n + 3) v_n = 0 has no root n >= 0, so v = 0 and u + v = u
         a = Recurrence([P(2), P(-9, 10, -3)], initial_terms=[5])
@@ -383,7 +399,8 @@ class TestClosureCore:
 
     def test_cancel_over_known_denominator(self):
         # kernel._primitive up to the content, which Recurrence normalises,
-        # whenever the common factor divides den
+        # times the factors (n - r) of the common factor with an integer
+        # root r >= 0, whenever the common factor divides den
         rng = random.Random(63)
         for i in range(60):
             f = Poly([Fraction(rng.randint(1, 5), rng.randint(1, 3))])
@@ -396,7 +413,25 @@ class TestClosureCore:
                 continue
             c = [p * f for p in _primitive(v)]
             got = closure._cancel_over(c, den)
-            assert Recurrence(got) == Recurrence(_primitive(c))
+            keep = Poly([1])
+            for x in rational_roots(functools.reduce(poly_gcd, c)):
+                if x.denominator == 1 and x >= 0:
+                    keep = keep * P(-x, 1)
+            assert Recurrence(got) == Recurrence([p * keep for p in _primitive(c)])
+
+    def test_solution_oracle(self):
+        # operands whose p_0 vanishes at some n >= 0, with solutions that
+        # take random free values there: both closures, in both operand
+        # orders, annihilate the combined solution from n = 0 on
+        rng = random.Random(5)
+        for _ in range(8):
+            a, b = rec_with_free_index(rng), rec_with_free_index(rng)
+            u, v = recurrence_solution(a, 24, rng), recurrence_solution(b, 24, rng)
+            for x, y in ((a, b), (b, a)):
+                w = [p + q for p, q in zip(u, v)]
+                assert apply(closure_sum(x, y), w, range(8)) == [0] * 8
+                w = [p * q for p, q in zip(u, v)]
+                assert apply(closure_hadamard(x, y), w, range(8)) == [0] * 8
 
     @pytest.mark.parametrize("degree, want_had, want_sum",
                              [(1, "40d436fb964cc276", "5f6f0d99af56577b"),
@@ -567,59 +602,6 @@ class TestGoldenOperators:
         assert _coeff_lists(sub) == want
 
 
-# Reference implementations of the ODE-level closures as they stood before
-# the one chain-rule core: substitution selecting among all nullspace
-# vectors, multiplication by the Leibniz formula, and the transform as
-# substitution followed by multiplication.
-
-def _ref_substitute_rational(ode, rho):
-    drho = rho.derivative()
-    if drho.is_zero():
-        raise DegenerateSubstitution("substitution has zero derivative")
-    e = ode.order
-    if e == 0:
-        return DiffOp([Poly([1])])
-    q_at = [_as_ratfun(q(rho)) for q in ode.coeffs]
-    q0 = q_at[0]
-    red = [-(q_at[e - i] / q0) for i in range(e)]
-    vecs = [[RatFun(1)] + [RatFun(0)] * (e - 1)]
-    for _ in range(e):
-        prev = vecs[-1]
-        nxt = [c.derivative() for c in prev]
-        for i in range(e - 1):
-            nxt[i + 1] = nxt[i + 1] + prev[i] * drho
-        top = prev[e - 1] * drho
-        if not top.is_zero():
-            for i in range(e):
-                nxt[i] = nxt[i] + top * red[i]
-        vecs.append(nxt)
-    basis = nullspace([[vecs[j][i] for j in range(e + 1)] for i in range(e)])
-    return min((DiffOp(list(reversed(v))) for v in basis), key=_op_key)
-
-
-def _ref_multiply_by_ratfun(ode, r):
-    e = ode.order
-    s = RatFun(1) / r
-    s_derivs = [s]
-    for _ in range(e):
-        s_derivs.append(s_derivs[-1].derivative())
-    # y = s*u; y^(k) = sum_j C(k,j) s^(j) u^(k-j)
-    out = [RatFun(0)] * (e + 1)
-    for k in range(e + 1):
-        a = RatFun(ode.coeffs[e - k])
-        if a.is_zero():
-            continue
-        for j in range(k + 1):
-            out[k - j] = out[k - j] + a * s_derivs[j] * math.comb(k, j)
-    return DiffOp(list(reversed(clear_denominators(out))))
-
-
-def _ref_binomial_transform_op(rec):
-    rho = RatFun(P(0, -1), P(1, -1))
-    sub = _ref_substitute_rational(rec_to_ode(rec), rho)
-    return ode_to_rec(_ref_multiply_by_ratfun(sub, RatFun(P(1), P(1, -1))))
-
-
 class TestComposeCore:
     """`_compose` against the reference constructions on seeded random
     inputs; `_dependencies` must see exactly one dependency every time."""
@@ -628,12 +610,14 @@ class TestComposeCore:
 
     @pytest.fixture
     def nullities(self, monkeypatch):
-        """Sizes of the bases `_compose` sees, recorded by a spy; the
-        `(v,) =` unpack would raise on any other size than 1."""
+        """Sizes of the bases `_compose` sees, recorded by a spy that also
+        checks that every column entry is a Poly; the `(v,) =` unpack would
+        raise on any other size than 1."""
         counts = []
         real = closure._dependencies
 
         def spy(vecs):
+            assert all(isinstance(c, Poly) for v in vecs for c in v)
             basis = real(vecs)
             counts.append(len(basis))
             return basis
@@ -680,7 +664,8 @@ class TestComposeCore:
             rho = random_ratfun(rng, nonconstant=True)
             r = random_ratfun(rng, pole=True)
             want = _ref_multiply_by_ratfun(_ref_substitute_rational(ode, rho), r)
-            assert closure._compose(ode, rho, r).coeffs == want.coeffs
+            got = closure._compose(ode, (rho.num, rho.den), (r.num, r.den))
+            assert got.coeffs == want.coeffs
         assert set(nullities) == {1}
 
     @pytest.mark.parametrize("ode", [[P(1), P(-1)], [P(2, 1)]], ids=["order1", "order0"])
