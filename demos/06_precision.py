@@ -7,10 +7,9 @@ answer is ~1.7.  Double precision produces pure noise; the evaluator
 rounds f(k) to integers at n + g + 2 log2 n + 12 bits and takes the sum
 exactly in integers: directly, binom(n,k) times f(k) +- f(n-k) for k <= n/2
 summed by binary splitting, at a single n or a sparse grid, and by one
-forward-difference sweep on a dense grid (the cheaper by 20 sum(ns) against
-max(ns)^2).  It returns the
-value with the error bound 2^(n-p) (1/2 + 16 max|f|), known before the sum
-starts.
+forward-difference sweep on a dense grid (the cheaper by 40 sum(ns) against
+max(ns)^2).  It returns the value with the error bound
+2^(n-p) (1/2 + 16 max|f|), known before the sum starts.
 """
 
 import math

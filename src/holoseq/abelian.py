@@ -127,9 +127,6 @@ class TransferReport:
     final_ratio: float
     precision_bits: int
 
-    def ratios(self):
-        return [s.ratio for s in self.samples]
-
     def to_dict(self):
         return {
             "theta": self.theta,
@@ -177,15 +174,16 @@ def verify_transfer(u: Union[Sequence, np.ndarray], scale: AsymptoticScale,
     """Ratios |partial sum / singular element| at z = 1 - 2^(-k) e^(i theta)
     for k = kmin..kmax, with recorded truncation tails.
 
-    |theta| <= pi/4 keeps z inside the theorem's sector.  `u` must supply
-    values through index N_kmax = ceil(2^kmax kmax^2); numpy arrays take a
-    vectorized float64 path, higher precisions a scalar path in which
-    mpmath rounds exact (int or Fraction) terms at precision_bits."""
+    |theta| <= pi/4 keeps z inside the theorem's sector, and a theta that
+    is not finite is refused.  `u` must supply values through index
+    N_kmax = ceil(2^kmax kmax^2); numpy arrays take a vectorized float64
+    path, higher precisions a scalar path in which mpmath rounds exact (int
+    or Fraction) terms at precision_bits."""
     if not 1 <= kmin <= kmax:
         raise ValueError(f"need 1 <= kmin <= kmax, got kmin = {kmin}, "
                          f"kmax = {kmax}")
-    if abs(sector_angle) > math.pi / 4 + 1e-12:
-        raise ValueError("|sector_angle| must be <= pi/4")
+    if not abs(sector_angle) <= math.pi / 4 + 1e-12:
+        raise ValueError(f"|sector_angle| must be <= pi/4, got {sector_angle}")
     element = transfer(scale)
     n_needed = truncation_depth(kmax) + 1
     if precision_bits <= 53:

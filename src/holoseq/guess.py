@@ -202,9 +202,7 @@ def _float_terms(terms):
     and an infinite or NaN residual would pass any tolerance test."""
     out = []
     for k, t in enumerate(terms):
-        if hasattr(t, "value") and hasattr(t, "bound"):  # BigReal
-            v = mpf(t.value)
-        elif isinstance(t, Fraction):
+        if isinstance(t, Fraction):
             v = mpf(t.numerator) / t.denominator
         else:
             v = mpf(t)

@@ -37,11 +37,12 @@ counts, so log k is within 2 log2 k units; the guard is derived from the
 counts, and every value returned is within 2^(1-prec) relative, inside
 the 2^(4-prec) that `binomial_diff_grid` asks of f.
 
-Values are carried as ``BigReal``: a midpoint plus an absolute error
-bound.  Outside the alternating sums, bounds are propagated conservatively
-(midpoint arithmetic with doubled ulp slop, not directed rounding); the
-doubling invariant (recompute at p+64 bits, compare within bounds) is the
-operational check of that model.
+Values are returned as ``BigReal``: a midpoint and the absolute error
+bound that its producer derived (the sums above, `gamma`, `lambert_w`,
+`primes.li`).  A BigReal has no arithmetic and is never an input, so
+every bound comes from the code that computed the value.  The check of a
+bound is `BigReal.agrees_with`: recompute at more bits and see that the
+two enclosures overlap.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import os
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, index, sub
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable
 
 import mpmath
 import numpy as np
@@ -87,14 +88,10 @@ def _check_precision(p: int):
             f"needs {p} working bits, precision cap is {cap}")
 
 
-Number = Union[int, float, Fraction, mpf, mpc]
-
-
 class BigReal:
-    """Midpoint value (mpf or mpc) with an absolute error bound (mpf).
-
-    invariant: |stored - true| <= bound.
-    """
+    """A midpoint value (mpf or mpc) and the absolute error bound (mpf) its
+    producer derived: |value - true| <= bound.  It is an output only, with
+    no arithmetic."""
 
     __slots__ = ("value", "bound")
 
@@ -104,61 +101,6 @@ class BigReal:
         # the sign bit: refuses negatives and -inf, without an mpf compare
         if self.bound._mpf_[0]:
             raise ValueError("negative error bound")
-
-    @classmethod
-    def exact(cls, x: Number, prec: int = None) -> "BigReal":
-        """Round an exact number to the given precision (default current);
-        rationals carry a one-division rounding bound, machine numbers
-        convert exactly."""
-        with mp.workprec(prec or mp.prec):
-            if isinstance(x, Fraction):
-                v = mpf(x.numerator) / x.denominator
-                return cls(v, 2 * _ulp(v))
-            v = mpc(x) if isinstance(x, (complex, mpc)) else mpf(x)
-            return cls(v, 0)
-
-    def __add__(self, other):
-        other = _coerce(other)
-        v = self.value + other.value
-        return BigReal(v, self.bound + other.bound + 2 * _ulp(v))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BigReal(-self.value, self.bound)
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        v = self.value * other.value
-        b = (abs(self.value) * other.bound + abs(other.value) * self.bound
-             + self.bound * other.bound + 2 * _ulp(v))
-        return BigReal(v, b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        denom = abs(other.value) - other.bound
-        if denom <= 0:
-            raise ZeroDivisionError("divisor interval contains zero")
-        v = self.value / other.value
-        b = (self.bound + abs(v) * other.bound) / denom + 2 * _ulp(v)
-        return BigReal(v, b)
-
-    def __abs__(self):
-        return BigReal(abs(self.value), self.bound)
-
-    def __float__(self):
-        return float(self.value)
-
-    def __complex__(self):
-        return complex(self.value)
 
     def log2_bound(self) -> float:
         if self.bound == 0:
@@ -173,19 +115,10 @@ class BigReal:
         return f"BigReal({self.value}, bound~2^{self.log2_bound():.1f})"
 
 
-def _coerce(x) -> BigReal:
-    if isinstance(x, BigReal):
-        return x
-    if isinstance(x, Fraction):
-        return BigReal.exact(x)
-    return BigReal(mpf(x) if not isinstance(x, (complex, mpc)) else mpc(x), 0)
-
-
-def _ulp(v) -> mpf:
+def _ulp(v: mpf) -> mpf:
     if v == 0:
         return mpf(2) ** (-mp.prec)
-    m = abs(v.real) + abs(v.imag) if isinstance(v, mpc) else abs(v)
-    _, e = mpmath.frexp(m)
+    _, e = mpmath.frexp(abs(v))
     return mpf(2) ** (e - mp.prec + 1)
 
 
@@ -519,14 +452,6 @@ def binomial_diff_stream_eval(stream, n: int, target_bits: int,
     return binomial_diff_stream_grid(stream, [n], target_bits, start)[n]
 
 
-def degenerate_power(alpha) -> bool:
-    """Integer exponents make k^alpha holonomic (polynomial or
-    polylogarithmic); callers branch on this."""
-    if isinstance(alpha, complex) or isinstance(alpha, mpc):
-        return alpha.imag == 0 and float(alpha.real) == int(alpha.real)
-    return float(alpha) == int(alpha)
-
-
 # ---------------------------------------------------------------------------
 # log k and k^alpha from the primes
 # ---------------------------------------------------------------------------
@@ -798,8 +723,10 @@ def power_seq(alpha) -> Callable:
 def power_diff_eval(alpha, n: int, target_bits: int) -> BigReal:
     """w_n = sum_{k=1}^n binom(n,k) (-1)^k k^alpha, k^alpha = exp(alpha log k).
 
-    alpha may be complex or a Fraction; integer alpha is allowed (the
-    degenerate holonomic case, see `degenerate_power`)."""
+    alpha may be an int, a float, a Fraction, an mpf or a complex number
+    (see `power_seq`).  An integer alpha is computed like any other,
+    although k^alpha is then holonomic; `witness.witness_powers` sends such
+    an alpha to the guesser instead."""
     return binomial_diff_eval(power_seq(alpha), n, target_bits, start=1)
 
 
@@ -807,24 +734,23 @@ def power_diff_eval(alpha, n: int, target_bits: int) -> BigReal:
 # Gamma via argument-shifted Stirling
 # ---------------------------------------------------------------------------
 
-def _to_mpf_arg(x):
-    if isinstance(x, BigReal):
-        return x.value, x.bound
+def _to_mpf_arg(x) -> mpf:
     if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator, mpf(0)
-    return mpf(x), mpf(0)
+        return mpf(x.numerator) / x.denominator
+    return mpf(x)
 
 
 def gamma(x, target_bits: int = 64) -> BigReal:
-    """Gamma(x) for real x, via Stirling's series at a shifted argument
-    with the tail truncated at a rigorously bounded term (for real positive
-    arguments the remainder is bounded by the first omitted term)."""
+    """Gamma(x) for a real number x (int, Fraction, float or mpf), via
+    Stirling's series at a shifted argument with the tail truncated at a
+    rigorously bounded term (for real positive arguments the remainder is
+    bounded by the first omitted term)."""
     if isinstance(x, (int, Fraction)) and x == int(x) and x <= 0:
         raise PoleAtNonpositiveInteger(f"gamma pole at {x}")
     wp = target_bits + 24
     _check_precision(wp)
     with mp.workprec(wp):
-        xv, xb = _to_mpf_arg(x)
+        xv = _to_mpf_arg(x)
         if xv == mpmath.floor(xv) and xv <= 0:
             raise PoleAtNonpositiveInteger(f"gamma pole at {xv}")
         shift = max(0, int(mpmath.ceil(wp / mpf(9) + 3 - xv)))
@@ -853,12 +779,9 @@ def gamma(x, target_bits: int = 64) -> BigReal:
         for i in range(shift):
             prod *= (xv + i)
         value = gs / prod
-        # relative error: series tail + rounding on O(shift + j) operations,
-        # plus first-order input sensitivity |digamma| * xb
+        # relative error: series tail + rounding on O(shift + j) operations
         rel = tail + mpf(2) ** (-wp) * (shift + j + 8) * 4
-        sens = abs(mpmath.digamma(xv)) * xb if xb else mpf(0)
-        bound = abs(value) * rel * 2 + sens * abs(value) * 2
-        br = BigReal(value, bound)
+        br = BigReal(value, abs(value) * rel * 2)
     if br.bound > mpf(2) ** (-target_bits) * max(1, abs(br.value)):
         raise PrecisionExhausted("gamma failed to meet its bound")
     return br
@@ -869,12 +792,12 @@ def gamma(x, target_bits: int = 64) -> BigReal:
 # ---------------------------------------------------------------------------
 
 def lambert_w(x, target_bits: int = 64) -> BigReal:
-    """w with w e^w = x, for x >= e, by Newton iteration seeded at
-    log x - loglog x."""
+    """w with w e^w = x, for a real number x >= e (int, Fraction, float or
+    mpf), by Newton iteration seeded at log x - loglog x."""
     wp = target_bits + 32
     _check_precision(wp)
     with mp.workprec(wp):
-        xv, xb = _to_mpf_arg(x)
+        xv = _to_mpf_arg(x)
         if xv < mpmath.e - mpf(2) ** (-20):
             raise ValueError("lambert_w domain is x >= e")
         lx = mpmath.log(xv)
@@ -888,10 +811,8 @@ def lambert_w(x, target_bits: int = 64) -> BigReal:
                 last_step = abs(step)
                 break
             last_step = abs(step)
-        # w'(x) = 1/(x (1 + w)); quadratic convergence makes the final
-        # step a sound error proxy
-        sens = xb / (xv * (1 + w)) if xb else mpf(0)
-        return BigReal(w, 2 * last_step + 4 * _ulp(w) + sens)
+        # quadratic convergence makes the final step a sound error proxy
+        return BigReal(w, 2 * last_step + 4 * _ulp(w))
 
 
 # ---------------------------------------------------------------------------

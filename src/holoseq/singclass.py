@@ -76,7 +76,7 @@ class CompatibilityVerdict:
         return self.verdict == "compatible"
 
 
-def _coerce_point(z0):
+def _point(z0):
     if isinstance(z0, str):
         if z0 in ("infinity", "inf", "oo"):
             return INFINITY
@@ -98,7 +98,7 @@ def _local(ode: DiffOp, z0):
     z^e L = sum_i z^i B_i(theta_z) becomes t^(-i) B_i(-theta_t); times
     t^top, top the highest slice, it is sum_i t^(top-i) B_i(-theta_t):
     the slices of the list, keyed e lower than `theta_slices` keys them."""
-    z0 = _coerce_point(z0)
+    z0 = _point(z0)
     if z0 is not INFINITY:
         qs = [q.shift_arg(z0) for q in ode.coeffs]
         return qs, theta_slices(qs)
@@ -189,7 +189,7 @@ def classify_point(ode: DiffOp, z0) -> SingularPointReport:
     """Full local report: kind, indicial exponents with multiplicities and
     log-degree bound, Newton slopes, ramification, and the degree of the
     exponential part."""
-    z0c = _coerce_point(z0)
+    z0c = _point(z0)
     qs, slices = _local(ode, z0c)
     slopes = _newton(qs)
     ordinary = qs[0].valuation() == min(q.valuation() for q in qs if not q.is_zero())
@@ -219,24 +219,32 @@ def classify_point(ode: DiffOp, z0) -> SingularPointReport:
     )
 
 
+def forbidden_scale(scale) -> Optional[str]:
+    """Why no singular expansion of any operator can contain the scale
+    x^alpha (log x)^beta (loglog x)^gamma, or None if some operator's can:
+    gamma != 0 (iterated logarithms never occur), or beta is not a
+    nonnegative integer."""
+    if scale.gamma != 0:
+        return "iterated logarithms cannot appear in any solution expansion"
+    beta = scale.beta
+    beta_f = Fraction(beta) if not isinstance(beta, complex) else None
+    if beta_f is None or beta_f.denominator != 1 or beta_f < 0:
+        return f"log power {beta} is not a nonnegative integer"
+    return None
+
+
 def forbidden_asymptotics_check(report: SingularPointReport, scale) -> CompatibilityVerdict:
     """Can a singular expansion of the reported operator contain the scale
     x^alpha (log x)^beta (loglog x)^gamma?
 
-    Incompatible exactly when gamma != 0 (iterated logarithms never occur)
-    or beta is not a nonnegative integer within the report's log-degree
-    bound.  Compatible verdicts name the matching (exponent, log-degree)
-    slot when one is visible."""
-    alpha, beta, gam = scale.alpha, scale.beta, scale.gamma
-    if gam != 0:
-        return CompatibilityVerdict(
-            "incompatible",
-            "iterated logarithms cannot appear in any solution expansion")
-    beta_f = Fraction(beta) if not isinstance(beta, complex) else None
-    if beta_f is None or beta_f.denominator != 1 or beta_f < 0:
-        return CompatibilityVerdict(
-            "incompatible",
-            f"log power {beta} is not a nonnegative integer")
+    Incompatible exactly when `forbidden_scale` gives a reason, or beta
+    exceeds the report's log-degree bound.  Compatible verdicts name the
+    matching (exponent, log-degree) slot when one is visible."""
+    reason = forbidden_scale(scale)
+    if reason is not None:
+        return CompatibilityVerdict("incompatible", reason)
+    alpha, beta = scale.alpha, scale.beta
+    beta_f = Fraction(beta)
     if beta_f > report.log_degree_bound:
         return CompatibilityVerdict(
             "incompatible",

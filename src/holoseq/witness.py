@@ -26,13 +26,13 @@ from mpmath.libmp import to_rational
 
 from . import hpeval
 from .abelian import AsymptoticScale, verify_transfer
-from .annihilators import DiffOp, Recurrence, apply
+from .annihilators import Recurrence, apply
 from .closure import closure_hadamard
 from .guess import guess_exact
 from .kernel import Poly
 from .primes import PrimeTable, nth_prime_grid, sieve
 from .series import Series
-from .singclass import classify_point, forbidden_asymptotics_check
+from .singclass import forbidden_scale
 
 _DISCLAIMER = ("verdict windows are derived calibrations of qualitative "
                "O(1)-type asymptotic statements; the windows are the "
@@ -68,12 +68,6 @@ class WitnessReport:
         return all(self.verdicts.values())
 
 
-def _log_singular_op() -> DiffOp:
-    # (1-z) y'' - y': the canonical regular-singular operator at 1 whose
-    # solutions carry plain logarithms
-    return DiffOp([Poly([1, -1]), Poly([-1]), Poly()])
-
-
 def _grid_and_precision(f, ns, target_bits: int):
     """binomial_diff_grid(f, ns, target_bits) and the largest working
     precision f was evaluated at, which is the precision of the report."""
@@ -107,12 +101,11 @@ def witness_log(nmax: int = 2000, grid=None, target_bits: int = 64) -> WitnessRe
     window = [s for s in samples if s["x"] >= 100]
     wdevs = [s["deviation"] for s in window] or devs
     spread = max(wdevs) - min(wdevs)
-    report = classify_point(_log_singular_op(), 1)
-    check = forbidden_asymptotics_check(report, AsymptoticScale(-1, 0, 1))
     verdicts = {
         "bounded": all(0 < d < 2 for d in devs),
         "spread_small": spread <= 0.5,
-        "loglog_scale_incompatible": check.verdict == "incompatible",
+        "loglog_scale_incompatible":
+            forbidden_scale(AsymptoticScale(-1, 0, 1)) is not None,
     }
     thresholds = {
         "bounded_window": {"low": 0, "high": 2,
@@ -168,16 +161,22 @@ def witness_powers(alpha=0.5, nmax: Optional[int] = None, grid=None,
     `--alpha 1/3`.  The sums, Gamma(1-alpha) and the forbidden scale all
     use that alpha, so a float with a small denominator takes the integer
     root route of `hpeval.power_seq`; an mpf alpha is read the same way,
-    from its exact binary value.  A complex alpha is refused: Gamma is
-    evaluated on the real line only."""
+    from its exact binary value.  The branch is decided on that alpha too:
+    2.0000000001 is read as 2 and takes the integer branch.  A complex
+    alpha is refused: Gamma is evaluated on the real line only."""
     t0 = time.monotonic()
     if isinstance(alpha, (complex, mpc)):
         raise ValueError(f"alpha must be real, not {alpha}")
-    if hpeval.degenerate_power(alpha):
+    exact = (Fraction(*to_rational(alpha._mpf_)) if isinstance(alpha, mpf)
+             else Fraction(alpha))
+    a_frac = (exact.limit_denominator(10 ** 9)
+              if isinstance(alpha, (float, mpf)) else exact)
+    if a_frac.denominator == 1:
+        a = a_frac.numerator
         if nmax is not None or grid is not None:
-            raise ValueError(f"alpha = {alpha} is an integer: the guess reads "
-                             "100 terms, so nmax and grid do not apply")
-        a = int(alpha)
+            raise ValueError(f"alpha = {alpha} is an integer as read ({a}): "
+                             "the guess reads 100 terms, so nmax and grid do "
+                             "not apply")
         terms = [Fraction(0)] + [Fraction(n) ** a for n in range(1, 100)]
         res = guess_exact(terms, 4, max(4, abs(a)))
         verdicts = {"holonomic_branch_recurrence_found": res.found}
@@ -196,10 +195,6 @@ def witness_powers(alpha=0.5, nmax: Optional[int] = None, grid=None,
 
     nmax = 5000 if nmax is None else nmax
     ns = _grid(grid, nmax, 500, log_grid(500, nmax, 48))
-    exact = (Fraction(*to_rational(alpha._mpf_)) if isinstance(alpha, mpf)
-             else Fraction(alpha))
-    a_frac = (exact.limit_denominator(10 ** 9)
-              if isinstance(alpha, (float, mpf)) else exact)
     values, p = _grid_and_precision(hpeval.power_seq(a_frac), ns, target_bits)
     g1a = hpeval.gamma(1 - a_frac, target_bits)
     a = float(a_frac)
@@ -214,9 +209,8 @@ def witness_powers(alpha=0.5, nmax: Optional[int] = None, grid=None,
         "normalized_ratio_near_one":
             all(abs(s["deviation"]) <= 0.35 for s in samples),
     }
-    report = classify_point(_log_singular_op(), 1)
-    check = forbidden_asymptotics_check(report, AsymptoticScale(0, -a_frac, 0))
-    verdicts["fractional_log_scale_incompatible"] = check.verdict == "incompatible"
+    verdicts["fractional_log_scale_incompatible"] = (
+        forbidden_scale(AsymptoticScale(0, -a_frac, 0)) is not None)
     thresholds = {
         "ratio_window": {"value": 0.35,
                          "provenance": "derived: the estimate is "
@@ -251,12 +245,11 @@ def witness_primes(nmax: int = 10 ** 6, grid_points: int = 60) -> WitnessReport:
                         "deviation": val - ref})
     prime300 = [int(p) for p in table.primes[:300]]
     res = guess_exact(prime300, 4, 4)
-    report = classify_point(_log_singular_op(), 1)
-    check = forbidden_asymptotics_check(report, AsymptoticScale(1, 0, 1))
     verdicts = {
         "bounded": all(abs(s["deviation"]) <= 2 for s in samples),
         "guesser_not_found": not res.found,
-        "nloglogn_scale_incompatible": check.verdict == "incompatible",
+        "nloglogn_scale_incompatible":
+            forbidden_scale(AsymptoticScale(1, 0, 1)) is not None,
     }
     thresholds = {
         "residual_window": {"value": 2,

@@ -686,7 +686,7 @@ def fraction_series_exp(u):
 # polygon and, from a second Euler form, its indicial polynomial.
 
 def reference_local_operator(ode, z0):
-    z0 = singclass._coerce_point(z0)
+    z0 = singclass._point(z0)
     if z0 is not singclass.INFINITY:
         return DiffOp([q.shift_arg(z0) for q in ode.coeffs])
     slices = theta_slices(ode.coeffs)
@@ -731,7 +731,7 @@ def reference_newton(local):
 
 
 def reference_classify_point(ode, z0):
-    z0c = singclass._coerce_point(z0)
+    z0c = singclass._point(z0)
     local = reference_local_operator(ode, z0c)
     slopes = reference_newton(local)
     ordinary = local.coeffs[0](0) != 0

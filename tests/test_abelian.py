@@ -94,6 +94,15 @@ class TestVerifyTransfer:
             verify_transfer(np.ones(10), AsymptoticScale(0, 0, 0),
                             math.pi / 2, kmax=4)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_sector_angle_not_finite(self, theta):
+        # abs(nan) > pi/4 is False: a NaN angle used to run and return NaN
+        # ratios
+        with pytest.raises(ValueError, match="sector_angle"):
+            verify_transfer(np.ones(truncation_depth(4) + 1),
+                            AsymptoticScale(0, 0, 0), theta, kmax=4)
+
     @pytest.mark.parametrize("kmin,kmax", [(5, 4), (0, 4), (-1, 3), (0, 0)])
     def test_k_range_must_be_nonempty_and_positive(self, kmin, kmax):
         # (5, 4) raised IndexError at samples[-1]; kmin = 0 a bare

@@ -14,6 +14,8 @@ from holoseq.annihilators import (
     SequenceStream,
     apply,
     apply_diffop_to_series,
+    ode_to_rec,
+    rec_to_ode,
     unroll,
 )
 from holoseq import closure
@@ -571,6 +573,22 @@ class TestBinomialTransformOp:
         transformed = binomial_diff_seq(SequenceStream.exact(fib), 110)
         res = apply(rec, transformed, range(100))
         assert all(r == 0 for r in res)
+
+    def test_solution_oracle(self):
+        # recurrences whose p_0 vanishes at some n >= 0, with solutions that
+        # take random free values there: the rec_to_ode/ode_to_rec round
+        # trip annihilates the solution, and the transform operator its
+        # binomial transform, from n = 0 on
+        rng = random.Random(5)
+        for _ in range(10):
+            a = rec_with_free_index(rng)
+            u = recurrence_solution(a, 40, rng)
+            rec = Recurrence(a.coeffs, initial_terms=u[:a.order])
+            back = ode_to_rec(rec_to_ode(rec))
+            assert apply(back, u, range(40 - back.order)) == [0] * (40 - back.order)
+            op = binomial_transform_op(rec)
+            g = binomial_diff_seq(u, 39)
+            assert apply(op, g, range(40 - op.order)) == [0] * (40 - op.order)
 
 
 def _rec(coeffs, init=None):

@@ -222,6 +222,16 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("usage error: alpha = 2 is an integer")
 
+    def test_witness_near_integer_alpha_refuses_nmax(self, capsys):
+        # 2.0000000001 is read as 2, so it takes the integer branch; it used
+        # to take the fractional one and end in a traceback at Gamma(-1)
+        argv = ["witness", "powers", "--alpha", "2.0000000001", "--nmax", "600"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "usage error: alpha = 2.0000000001 is an integer as read (2)")
+
     @pytest.mark.parametrize("argv", [
         ["witness", "primes", "--nmax", "0"],
         ["witness", "log", "--nmax", "0"],
@@ -413,6 +423,17 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "1 <= kmin <= kmax" in err and "Traceback" not in err
+
+    def test_verify_nan_theta_exit_2(self, tmp_path, capsys):
+        # used to exit 0 and print bare NaN tokens, which are not JSON
+        bf = write(tmp_path / "ones.bfile",
+                   "\n".join(f"{n} 1" for n in range(300)) + "\n")
+        code = main(["--json", "verify", "--input", bf, "--kmax", "4",
+                     "--theta", "nan"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sector_angle" in captured.err and "Traceback" not in captured.err
 
     def test_bad_bfile_exit_3(self, tmp_path, capsys):
         bf = write(tmp_path / "gap.bfile", "0 1\n2 2\n")

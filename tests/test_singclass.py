@@ -13,6 +13,7 @@ from holoseq.singclass import (
     NonRationalPoint,
     classify_point,
     forbidden_asymptotics_check,
+    forbidden_scale,
     indicial_polynomial,
     local_operator,
     newton_polygon,
@@ -236,6 +237,24 @@ class TestForbiddenAsymptotics:
         rep = classify_point(log_op(), 1)  # bound 1
         v = forbidden_asymptotics_check(rep, Scale(0, 2, 0))
         assert v.verdict == "incompatible"
+
+    @pytest.mark.parametrize("scale, why", [
+        (Scale(-1, 0, 1), "iterated logarithms"),
+        (Scale(0, Fraction(-1, 2), 0), "log power -1/2 is not"),
+        (Scale(0, -1, 0), "log power -1 is not"),
+        (Scale(0, 1j, 0), "log power 1j is not"),
+        (Scale(0, 2, 0), None),
+    ], ids=["loglog", "half", "negative", "complex", "integer"])
+    def test_forbidden_scale_is_the_check_without_a_report(self, scale, why):
+        # the rules that read no operator: the check gives their reason at
+        # every point, and forbidden_scale gives it without a report
+        reason = forbidden_scale(scale)
+        assert (reason is None) == (why is None)
+        if why is not None:
+            assert reason.startswith(why)
+            for ode, z0 in [(log_op(), 1), (euler_op(), 0)]:
+                v = forbidden_asymptotics_check(classify_point(ode, z0), scale)
+                assert (v.verdict, v.reason) == ("incompatible", reason)
 
     def test_matching_slot_named(self):
         # scale (0, 0, 0) matches exponent -1 when present

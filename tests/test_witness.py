@@ -163,6 +163,22 @@ class TestWitnessPowers:
         text = json.dumps(d, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == want
 
+    @pytest.mark.parametrize("alpha, read_as", [
+        (2.0000000001, 2), (-1.0000000001, -1), (1e-12, 0)],
+        ids=["2", "-1", "0"])
+    def test_near_integer_alpha_takes_the_integer_branch(self, alpha, read_as):
+        # the branch is decided on alpha as read, which the sums would use:
+        # these used to run the fractional branch at an integer alpha
+        got = witness_powers(alpha).to_dict()
+        want = witness_powers(read_as).to_dict()
+        got.pop("runtime_ms")
+        want.pop("runtime_ms")
+        assert got == want
+
+    def test_near_integer_alpha_refuses_nmax(self):
+        with pytest.raises(ValueError, match=r"is an integer as read \(2\)"):
+            witness_powers(2.0000000001, nmax=600)
+
     def test_negative_integer_branch(self):
         rep = witness_powers(-2)
         assert rep.verdicts["holonomic_branch_recurrence_found"]
