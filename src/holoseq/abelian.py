@@ -17,9 +17,11 @@ from dataclasses import dataclass
 from typing import List, Sequence, Union
 
 import numpy as np
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpc
 
+from .formats import to_json
 from .hpeval import BigReal, gamma
+from .kernel import read_number
 
 
 class AlphaNegative(Exception):
@@ -82,17 +84,23 @@ class SingularElement:
 
 def transfer(scale: AsymptoticScale, bits: int = 64) -> SingularElement:
     """Singular element corresponding to the scale; raises AlphaNegative
-    outside the theorem's hypothesis alpha >= 0."""
-    alpha = scale.alpha
-    if isinstance(alpha, complex) or isinstance(alpha, mpc):
+    outside the theorem's hypothesis alpha >= 0.
+
+    alpha, beta and gamma are read by `kernel.read_number`: an int, a
+    Fraction, a float or an mpf, and for beta and gamma also a complex or an
+    mpc.  A complex or a negative alpha raises AlphaNegative, a NaN or an
+    infinity in any of the three ValueError, and any other type TypeError.
+    Gamma(alpha + 1) is taken at the exact alpha; the element keeps the
+    scale's own values."""
+    alpha, _, _ = map(read_number, (scale.alpha, scale.beta, scale.gamma))
+    if isinstance(alpha, tuple):
         raise AlphaNegative("alpha must be a nonnegative real")
     if alpha < 0:
-        raise AlphaNegative(f"alpha = {alpha} < 0")
-    g = gamma(alpha + 1 if not isinstance(alpha, float)
-              else mpf(alpha) + 1, bits)
+        raise AlphaNegative(f"alpha = {scale.alpha} < 0")
+    g = gamma(alpha + 1, bits)
     return SingularElement(
         gamma_factor=g,
-        pole_order=alpha + 1,
+        pole_order=scale.alpha + 1,
         log_power=scale.beta,
         loglog_power=scale.gamma,
         scale=scale,
@@ -112,9 +120,7 @@ class TransferSample:
     tail_estimate: float
 
     def to_dict(self):
-        return {"k": self.k, "n_terms": self.n_terms,
-                "z": [self.z.real, self.z.imag],
-                "ratio": self.ratio, "tail_estimate": self.tail_estimate}
+        return to_json(self)
 
 
 @dataclass
@@ -128,14 +134,7 @@ class TransferReport:
     precision_bits: int
 
     def to_dict(self):
-        return {
-            "theta": self.theta,
-            "kmin": self.kmin, "kmax": self.kmax,
-            "samples": [s.to_dict() for s in self.samples],
-            "trend_improving": self.trend_improving,
-            "final_ratio": self.final_ratio,
-            "precision_bits": self.precision_bits,
-        }
+        return to_json(self)
 
 
 def truncation_depth(k: int) -> int:

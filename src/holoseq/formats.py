@@ -1,4 +1,5 @@
-"""Operator JSON format and b-file ingestion.
+"""Operator JSON format, b-file ingestion, and `to_json`, the one encoder
+of reports.
 
 Operator JSON: {"kind": "recurrence"|"ode", "order": d,
 "coefficients": [[rational strings, ascending powers], ...]} where
@@ -12,6 +13,7 @@ by exactly 1 (gaps are a format error).
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import List, Tuple, Union
 
@@ -84,10 +86,29 @@ def _quoted(s: str, keep: int = 20) -> str:
 
 
 def fraction_to_str(x: Fraction) -> str:
-    x = Fraction(x)
+    x = x if isinstance(x, Fraction) else Fraction(x)
     if x.denominator == 1:
         return _int_to_str(x.numerator)
     return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
+
+
+def to_json(x):
+    """x as a value `json.dumps` writes: a list or a tuple as a list, a
+    dict as a dict, a Fraction through `fraction_to_str` (any length), a
+    complex as [re, im] and a dataclass as the dict of its fields in field
+    order, each recursively; anything else as it is.  Every report's
+    `to_dict` is this encoder."""
+    if isinstance(x, (list, tuple)):
+        return [to_json(v) for v in x]
+    if isinstance(x, dict):
+        return {k: to_json(v) for k, v in x.items()}
+    if isinstance(x, Fraction):
+        return fraction_to_str(x)
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    if is_dataclass(x):
+        return {f.name: to_json(getattr(x, f.name)) for f in fields(x)}
+    return x
 
 
 def str_to_fraction(s: str) -> Fraction:

@@ -59,8 +59,9 @@ import mpmath
 import numpy as np
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (fone, from_man_exp, fzero, mpc_exp, mpc_mul, mpc_pos,
-                          mpf_exp, mpf_mul, mpf_pos, round_nearest, round_up,
-                          to_rational)
+                          mpf_exp, mpf_mul, mpf_pos, round_nearest, round_up)
+
+from .kernel import read_number, read_real
 
 DEFAULT_PRECISION_CAP = 1 << 18  # bits
 
@@ -706,13 +707,13 @@ def power_seq(alpha) -> Callable:
     with log p from the fixed-point log table.  A composite is one
     rounded product of two table entries.  Each entry carries an error
     count in units of 2^-w, w = prec + guard, and the guard comes from
-    the counts (see `_PowerTable` and `_per_k`).  alpha enters exactly: a
-    Fraction as itself, a float as its binary value, so a float 1/3 (whose
-    exact denominator is 2^54) takes the exp route."""
-    parts = ([alpha.real, alpha.imag] if isinstance(alpha, (complex, mpc))
-             else [alpha])
-    ratios = [Fraction(*to_rational(x._mpf_)) if isinstance(x, mpf)
-              else Fraction(x) for x in parts]
+    the counts (see `_PowerTable` and `_per_k`).  alpha enters exactly,
+    through `kernel.read_number`: an int or a Fraction as itself, a float
+    or an mpf as its binary value, so a float 1/3 (whose exact denominator
+    is 2^54) takes the exp route; a complex or an mpc is read part by part.
+    A NaN or an infinite part raises ValueError, any other type TypeError."""
+    alpha = read_number(alpha)
+    ratios = list(alpha) if isinstance(alpha, tuple) else [alpha]
     bound = sum(math.ceil(abs(r)) for r in ratios)
 
     def make(prec, guard):
@@ -723,8 +724,9 @@ def power_seq(alpha) -> Callable:
 def power_diff_eval(alpha, n: int, target_bits: int) -> BigReal:
     """w_n = sum_{k=1}^n binom(n,k) (-1)^k k^alpha, k^alpha = exp(alpha log k).
 
-    alpha may be an int, a float, a Fraction, an mpf or a complex number
-    (see `power_seq`).  An integer alpha is computed like any other,
+    alpha may be an int, a Fraction, a float, an mpf, a complex or an mpc,
+    read exactly by `power_seq`; a NaN or an infinity raises ValueError
+    and any other type TypeError.  An integer alpha is computed like any other,
     although k^alpha is then holonomic; `witness.witness_powers` sends such
     an alpha to the guesser instead."""
     return binomial_diff_eval(power_seq(alpha), n, target_bits, start=1)
@@ -734,25 +736,24 @@ def power_diff_eval(alpha, n: int, target_bits: int) -> BigReal:
 # Gamma via argument-shifted Stirling
 # ---------------------------------------------------------------------------
 
-def _to_mpf_arg(x) -> mpf:
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
-    return mpf(x)
-
-
 def gamma(x, target_bits: int = 64) -> BigReal:
-    """Gamma(x) for a real number x (int, Fraction, float or mpf), via
-    Stirling's series at a shifted argument with the tail truncated at a
-    rigorously bounded term (for real positive arguments the remainder is
-    bounded by the first omitted term)."""
-    if isinstance(x, (int, Fraction)) and x == int(x) and x <= 0:
-        raise PoleAtNonpositiveInteger(f"gamma pole at {x}")
+    """Gamma(x) for a real number x, via Stirling's series at a shifted
+    argument with the tail truncated at a rigorously bounded term (for real
+    positive arguments the remainder is bounded by the first omitted term).
+
+    x is read by `kernel.read_real` at the working precision: an int, a
+    Fraction, a float, an mpf or an mpmath constant, rounded once to the
+    working precision.  An x that is, or rounds to, a nonpositive integer
+    raises PoleAtNonpositiveInteger, a NaN or an infinity ValueError, and a
+    complex or any other type TypeError."""
     wp = target_bits + 24
     _check_precision(wp)
     with mp.workprec(wp):
-        xv = _to_mpf_arg(x)
-        if xv == mpmath.floor(xv) and xv <= 0:
-            raise PoleAtNonpositiveInteger(f"gamma pole at {xv}")
+        q = read_real(x)
+        xv = mpf(q.numerator) / q.denominator
+        # on the rounded value: an x within 2^-wp of a pole meets it here
+        if xv <= 0 and xv == mpmath.floor(xv):
+            raise PoleAtNonpositiveInteger(f"gamma pole at {int(xv)}")
         shift = max(0, int(mpmath.ceil(wp / mpf(9) + 3 - xv)))
         xs = xv + shift
         # Stirling at xs: (xs - 1/2) log xs - xs + log(2 pi)/2 + series
@@ -792,12 +793,18 @@ def gamma(x, target_bits: int = 64) -> BigReal:
 # ---------------------------------------------------------------------------
 
 def lambert_w(x, target_bits: int = 64) -> BigReal:
-    """w with w e^w = x, for a real number x >= e (int, Fraction, float or
-    mpf), by Newton iteration seeded at log x - loglog x."""
+    """w with w e^w = x, for a real number x >= e, by Newton iteration
+    seeded at log x - loglog x.
+
+    x is read by `kernel.read_real` at the working precision, so
+    `mpmath.e` is e at that precision: an int, a Fraction, a float, an mpf
+    or an mpmath constant.  x < e and a NaN or an infinity raise
+    ValueError, a complex or any other type TypeError."""
     wp = target_bits + 32
     _check_precision(wp)
     with mp.workprec(wp):
-        xv = _to_mpf_arg(x)
+        q = read_real(x)
+        xv = mpf(q.numerator) / q.denominator
         if xv < mpmath.e - mpf(2) ** (-20):
             raise ValueError("lambert_w domain is x >= e")
         lx = mpmath.log(xv)

@@ -15,6 +15,11 @@ Rational roots come from p-adic lifting of the roots of the squarefree
 part s modulo a small prime to a modulus above 2 |lead(s) s(0)|, with no
 integer factoring, in time polynomial in the input size.
 
+`read_number` is the one reader of numeric arguments: an exponent, a
+scale, a point or a special function's argument enters the package
+through it as an exact rational (a pair of them when complex), and a NaN,
+an infinity or a value of another type is refused there.
+
 Everything in this module is pure value semantics; no operation mutates
 its inputs.
 """
@@ -22,8 +27,11 @@ its inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
+
+from mpmath.libmp import finf, fnan, fninf, from_float, to_rational
 
 Rational = Union[int, Fraction]
 
@@ -556,3 +564,32 @@ def _eval_mod(cs, x: int, m: int) -> int:
     for c in reversed(cs):
         acc = (acc * x + c) % m
     return acc
+
+
+def read_number(x):
+    """x as an exact rational: an int or a Fraction as itself, a float, an
+    mpf or anything else with `_mpf_` (an mpmath constant, read at the
+    current precision) as its exact binary value, and a complex or an mpc
+    as the pair (real, imag) of such reads.  NaN and infinities raise
+    ValueError; any other type (a str, None, a `BigReal`) raises
+    TypeError.  The exponents of the power witness and of a scale, the
+    point of a local analysis and the arguments of the special functions
+    all enter here."""
+    if isinstance(x, numbers.Rational):
+        return Fraction(x)
+    if isinstance(x, complex) or hasattr(x, "_mpc_"):
+        return read_number(x.real), read_number(x.imag)
+    v = from_float(x) if isinstance(x, float) else getattr(x, "_mpf_", None)
+    if v is None:
+        raise TypeError(f"a number is needed, not {type(x).__name__}")
+    if v in (finf, fninf, fnan):
+        raise ValueError(f"{x} is not a finite number")
+    return Fraction(*to_rational(v))
+
+
+def read_real(x) -> Fraction:
+    """`read_number` of a real x; a complex x raises TypeError."""
+    q = read_number(x)
+    if isinstance(q, tuple):
+        raise TypeError(f"a real number is needed, not {x}")
+    return q

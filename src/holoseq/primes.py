@@ -17,6 +17,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .hpeval import BigReal
+from .kernel import read_real
 
 DEFAULT_CAP = 2 ** 31
 SEGMENT = 1 << 20
@@ -118,7 +119,10 @@ def nth_prime(n: int, *, unit_at_zero: bool = True,
 
 
 def prime_pi(x, table: Optional[PrimeTable] = None) -> int:
-    """Number of primes <= x."""
+    """Number of primes <= x, for x read by `kernel.read_real`: an int, a
+    Fraction, a float or an mpf.  A NaN or an infinity raises ValueError,
+    a complex or any other type TypeError."""
+    x = read_real(x)
     if x < 2:
         return 0
     t = table or _table
@@ -144,15 +148,21 @@ def nth_prime_grid(ns, table: Optional[PrimeTable] = None) -> np.ndarray:
 def li(x, bits: int = 64) -> BigReal:
     """Li(x) = integral_2^x dt/log t by adaptive quadrature over
     geometrically split subintervals (1/log t is nearly flat on each),
-    with the quadrature's own error estimate as the bound."""
+    with the quadrature's own error estimate as the bound.
+
+    x is read by `kernel.read_real` and rounded once to the working
+    precision: an int, a Fraction, a float or an mpf.  x < 2, a NaN and an
+    infinity raise ValueError, a complex or any other type TypeError."""
+    x = read_real(x)
     if x <= 2:
         if x == 2:
             return BigReal(mpf(0), mpf(0))
         raise ValueError("li is defined for x >= 2 here")
     with mp.workprec(bits + 16):
+        xv = mpf(x.numerator) / x.denominator
         pts = [mpf(2)]
-        while pts[-1] < x:
-            pts.append(min(mpf(x), pts[-1] ** 2))
+        while pts[-1] < xv:
+            pts.append(min(xv, pts[-1] ** 2))
         val, err = mpmath.quad(lambda t: 1 / mpmath.log(t), pts, error=True)
         return BigReal(val, mpf(err) * 4 + abs(val) * mpf(2) ** (-bits - 8))
 
@@ -164,12 +174,15 @@ def li_series(x, terms: Optional[int] = None, bits: int = 64) -> BigReal:
 
     The divergent series expands the principal-value li at infinity; the
     exact constant li(2) is subtracted so the value estimates the
-    definite integral from 2, matching `li`."""
+    definite integral from 2, matching `li`.  x is read as `li` reads it;
+    x <= 2 raises ValueError."""
+    x = read_real(x)
     if x <= 2:
         raise ValueError("the asymptotic series needs x > 2")
     with mp.workprec(bits + 16):
-        L = mpmath.log(x)
-        lead = x / L
+        xv = mpf(x.numerator) / x.denominator
+        L = mpmath.log(xv)
+        lead = xv / L
         s = mpf(0)
         term = mpf(1)  # k!/L^k, starting at k = 0
         k = 0

@@ -28,7 +28,8 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from .annihilators import DiffOp, from_theta_slices, theta_slices
-from .kernel import Poly, rational_roots_and_cofactor
+from .formats import to_json
+from .kernel import Poly, rational_roots_and_cofactor, read_number
 
 INFINITY = "infinity"
 
@@ -51,19 +52,7 @@ class SingularPointReport:
     operator_order: int
 
     def to_dict(self) -> dict:
-        return {
-            "location": str(self.location),
-            "kind": self.kind,
-            "indicial_exponents": [[str(r), m] for r, m in self.indicial_exponents],
-            "nonrational_indicial": [[[str(c) for c in coeffs], deg]
-                                     for coeffs, deg in self.nonrational_indicial],
-            "log_degree_bound": self.log_degree_bound,
-            "log_flag": self.log_flag,
-            "newton_slopes": [[str(s), length] for s, length in self.newton_slopes],
-            "ramification": self.ramification,
-            "exp_part_degree": str(self.exp_part_degree),
-            "operator_order": self.operator_order,
-        }
+        return to_json(self)
 
 
 @dataclass
@@ -77,17 +66,19 @@ class CompatibilityVerdict:
 
 
 def _point(z0):
+    """INFINITY for "infinity", "inf", "oo" or a +inf, else z0 read by
+    `kernel.read_number` as an exact rational; any other str or a complex
+    raises NonRationalPoint."""
     if isinstance(z0, str):
         if z0 in ("infinity", "inf", "oo"):
             return INFINITY
         raise NonRationalPoint(f"unsupported point {z0!r}")
     if z0 == math.inf:
         return INFINITY
-    if isinstance(z0, (int, Fraction)):
-        return Fraction(z0)
-    if isinstance(z0, float):
-        return Fraction(z0)  # floats are exact binary rationals
-    raise NonRationalPoint(f"algebraic points of degree > 1 are out of scope: {z0!r}")
+    z = read_number(z0)
+    if isinstance(z, tuple):
+        raise NonRationalPoint(f"algebraic points of degree > 1 are out of scope: {z0!r}")
+    return z
 
 
 def _local(ode: DiffOp, z0):
@@ -188,7 +179,13 @@ def _log_data(indicial: Poly):
 def classify_point(ode: DiffOp, z0) -> SingularPointReport:
     """Full local report: kind, indicial exponents with multiplicities and
     log-degree bound, Newton slopes, ramification, and the degree of the
-    exponential part."""
+    exponential part.
+
+    z0 is infinity ("infinity", "inf", "oo" or a +inf) or a real number
+    read exactly by `kernel.read_number`: an int, a Fraction, a float or
+    an mpf, so mpf(0) is the point 0.  Another str or a complex raises
+    NonRationalPoint, a NaN or a -inf ValueError, and any other type
+    TypeError."""
     z0c = _point(z0)
     qs, slices = _local(ode, z0c)
     slopes = _newton(qs)
@@ -223,13 +220,17 @@ def forbidden_scale(scale) -> Optional[str]:
     """Why no singular expansion of any operator can contain the scale
     x^alpha (log x)^beta (loglog x)^gamma, or None if some operator's can:
     gamma != 0 (iterated logarithms never occur), or beta is not a
-    nonnegative integer."""
+    nonnegative integer.
+
+    beta is read by `kernel.read_number`: an int, a Fraction, a float, an
+    mpf, a complex or an mpc (a complex beta is never a nonnegative
+    integer).  A NaN or an infinite beta raises ValueError, and any other
+    type TypeError."""
     if scale.gamma != 0:
         return "iterated logarithms cannot appear in any solution expansion"
-    beta = scale.beta
-    beta_f = Fraction(beta) if not isinstance(beta, complex) else None
-    if beta_f is None or beta_f.denominator != 1 or beta_f < 0:
-        return f"log power {beta} is not a nonnegative integer"
+    beta = read_number(scale.beta)
+    if isinstance(beta, tuple) or beta.denominator != 1 or beta < 0:
+        return f"log power {scale.beta} is not a nonnegative integer"
     return None
 
 
@@ -239,25 +240,21 @@ def forbidden_asymptotics_check(report: SingularPointReport, scale) -> Compatibi
 
     Incompatible exactly when `forbidden_scale` gives a reason, or beta
     exceeds the report's log-degree bound.  Compatible verdicts name the
-    matching (exponent, log-degree) slot when one is visible."""
+    matching (exponent, log-degree) slot when one is visible; a complex
+    alpha matches none.  alpha and beta are read as in `forbidden_scale`,
+    so a NaN or an infinity raises ValueError."""
     reason = forbidden_scale(scale)
     if reason is not None:
         return CompatibilityVerdict("incompatible", reason)
-    alpha, beta = scale.alpha, scale.beta
-    beta_f = Fraction(beta)
-    if beta_f > report.log_degree_bound:
+    beta = read_number(scale.beta)
+    if beta > report.log_degree_bound:
         return CompatibilityVerdict(
             "incompatible",
-            f"log power {beta} exceeds the operator's log-degree bound "
+            f"log power {scale.beta} exceeds the operator's log-degree bound "
             f"{report.log_degree_bound}")
-    slot = None
-    try:
-        target = -(Fraction(alpha) + 1)
-        for r, _m in report.indicial_exponents:
-            if r == target:
-                slot = (r, int(beta_f))
-                break
-    except (TypeError, ValueError):
-        pass
+    alpha = read_number(scale.alpha)
+    target = None if isinstance(alpha, tuple) else -(alpha + 1)
+    slot = next(((r, int(beta)) for r, _m in report.indicial_exponents
+                 if r == target), None)
     return CompatibilityVerdict("compatible",
                                 "scale fits the regular expansion form", slot)

@@ -21,15 +21,15 @@ from itertools import accumulate
 from typing import List, Optional
 
 import numpy as np
-from mpmath import mpc, mpf
-from mpmath.libmp import to_rational
+from mpmath import mpf
 
 from . import hpeval
 from .abelian import AsymptoticScale, verify_transfer
 from .annihilators import Recurrence, apply
 from .closure import closure_hadamard
 from .guess import guess_exact
-from .kernel import Poly
+from .formats import to_json
+from .kernel import Poly, read_number
 from .primes import PrimeTable, nth_prime_grid, sieve
 from .series import Series
 from .singclass import forbidden_scale
@@ -52,17 +52,7 @@ class WitnessReport:
     disclaimer: str = _DISCLAIMER
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "params": self.params,
-            "samples": self.samples,
-            "verdicts": self.verdicts,
-            "thresholds": self.thresholds,
-            "precision_bits": self.precision_bits,
-            "runtime_ms": self.runtime_ms,
-            "notes": self.notes,
-            "disclaimer": self.disclaimer,
-        }
+        return to_json(self)
 
     def passed(self) -> bool:
         return all(self.verdicts.values())
@@ -155,22 +145,22 @@ def witness_powers(alpha=0.5, nmax: Optional[int] = None, grid=None,
     the sequence is holonomic and the guesser must find a certified
     recurrence from 100 terms, so nmax and grid are refused there.
 
-    A float alpha is read once as the nearest fraction with denominator at
-    most 10^9, Fraction(alpha).limit_denominator(10**9): 1/3 for
-    0.3333333333333333, the same alpha as the Fraction 1/3 or the CLI's
-    `--alpha 1/3`.  The sums, Gamma(1-alpha) and the forbidden scale all
-    use that alpha, so a float with a small denominator takes the integer
-    root route of `hpeval.power_seq`; an mpf alpha is read the same way,
-    from its exact binary value.  The branch is decided on that alpha too:
-    2.0000000001 is read as 2 and takes the integer branch.  A complex
-    alpha is refused: Gamma is evaluated on the real line only."""
+    alpha is read once by `kernel.read_number`.  An int or a Fraction is
+    taken as it is.  A float, an mpf or an mpmath constant is read as the
+    nearest fraction with denominator at most 10^9 to its exact binary
+    value: 1/3 for 0.3333333333333333, the same alpha as the Fraction 1/3
+    or the CLI's `--alpha 1/3`.  The sums, Gamma(1-alpha) and the forbidden
+    scale all use that alpha, so a float with a small denominator takes the
+    integer root route of `hpeval.power_seq`.  The branch is decided on
+    that alpha too: 2.0000000001 is read as 2 and takes the integer branch.
+    A complex alpha, a NaN and an infinity raise ValueError (Gamma is
+    evaluated on the real line only), and any other type TypeError."""
     t0 = time.monotonic()
-    if isinstance(alpha, (complex, mpc)):
+    exact = read_number(alpha)
+    if isinstance(exact, tuple):
         raise ValueError(f"alpha must be real, not {alpha}")
-    exact = (Fraction(*to_rational(alpha._mpf_)) if isinstance(alpha, mpf)
-             else Fraction(alpha))
-    a_frac = (exact.limit_denominator(10 ** 9)
-              if isinstance(alpha, (float, mpf)) else exact)
+    a_frac = (exact if isinstance(alpha, (int, Fraction))
+              else exact.limit_denominator(10 ** 9))
     if a_frac.denominator == 1:
         a = a_frac.numerator
         if nmax is not None or grid is not None:
@@ -229,9 +219,12 @@ def witness_powers(alpha=0.5, nmax: Optional[int] = None, grid=None,
 def witness_primes(nmax: int = 10 ** 6, grid_points: int = 60) -> WitnessReport:
     """The nth prime: e_n = (g_n - n H_n)/n - loglog n stays bounded (the
     two-term expansion), the guesser finds nothing at (4,4) on 300 primes,
-    and the n loglog n term's scale is incompatible with holonomicity."""
-    if nmax > 10 ** 6:
-        raise ValueError("nmax capped at 10^6 primes")
+    and the n loglog n term's scale is incompatible with holonomicity.
+    The grid is grid_points geometric points from 100 to nmax, so nmax
+    below 100 or above 10^6, and grid_points below 1, raise ValueError."""
+    if not 100 <= nmax <= 10 ** 6 or grid_points < 1:
+        raise ValueError(f"need 100 <= nmax <= 10^6 and grid_points >= 1, "
+                         f"got nmax = {nmax}, grid_points = {grid_points}")
     t0 = time.monotonic()
     ns = np.array(log_grid(100, nmax, grid_points), dtype=np.int64)
     table = PrimeTable()

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mpc, mpf
 
+from holoseq import abelian
 from holoseq.abelian import (
     AlphaNegative,
     AsymptoticScale,
@@ -13,6 +15,7 @@ from holoseq.abelian import (
     truncation_depth,
     verify_transfer,
 )
+from holoseq.hpeval import gamma
 
 
 class TestTransfer:
@@ -37,6 +40,20 @@ class TestTransfer:
     def test_alpha_negative_rejected(self):
         with pytest.raises(AlphaNegative):
             transfer(AsymptoticScale(-1, 0, 1))
+
+    @pytest.mark.parametrize("alpha", [1j, mpc(1, 0), -0.5, mpf(-2)],
+                             ids=["complex", "mpc", "negative", "negative-mpf"])
+    def test_alpha_refusals(self, alpha):
+        with pytest.raises(AlphaNegative):
+            transfer(AsymptoticScale(alpha, 0, 0))
+
+    def test_gamma_at_the_exact_alpha(self):
+        # a float alpha reaches Gamma exactly: 1e-20 + 1 is not 1
+        el = transfer(AsymptoticScale(1e-20, 0, 0))
+        want = gamma(Fraction(1e-20) + 1, 64)
+        assert (el.gamma_factor.value, el.gamma_factor.bound) == (want.value, want.bound)
+        assert el.gamma_factor.value != 1
+        assert el.pole_order == 1e-20 + 1
 
     def test_experimental_flag(self):
         assert AsymptoticScale(0, complex(0, 1), 0).experimental
@@ -102,6 +119,18 @@ class TestVerifyTransfer:
         with pytest.raises(ValueError, match="sector_angle"):
             verify_transfer(np.ones(truncation_depth(4) + 1),
                             AsymptoticScale(0, 0, 0), theta, kmax=4)
+
+    @pytest.mark.parametrize("scale", [
+        AsymptoticScale(1, math.nan, 0), AsymptoticScale(math.inf, 0, 0),
+        AsymptoticScale(0, 0, mpf("-inf"))], ids=["beta-nan", "alpha-inf", "gamma-inf"])
+    def test_non_finite_scale_refused_before_any_sum(self, scale, monkeypatch):
+        # a NaN beta ran and returned NaN ratios, bare NaN tokens in JSON
+        def never(*args):
+            raise AssertionError("a sum ran")
+
+        monkeypatch.setattr(abelian, "_partial_sum_numpy", never)
+        with pytest.raises(ValueError, match="is not a finite number"):
+            verify_transfer(np.ones(truncation_depth(4) + 1), scale, kmax=4)
 
     @pytest.mark.parametrize("kmin,kmax", [(5, 4), (0, 4), (-1, 3), (0, 0)])
     def test_k_range_must_be_nonempty_and_positive(self, kmin, kmax):

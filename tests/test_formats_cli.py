@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from holoseq.formats import (
     operator_to_dict,
     parse_bfile,
     str_to_fraction,
+    to_json,
 )
 from holoseq.kernel import Poly
 
@@ -103,6 +105,28 @@ class TestOperatorJson:
             operator_from_dict({"kind": "recurrence"})
 
 
+class TestToJson:
+    def test_nested_values(self):
+        @dataclass
+        class Inner:
+            z: complex
+            r: Fraction
+
+        @dataclass
+        class Outer:
+            b: tuple
+            a: dict
+            inner: Inner
+            flag: bool = True
+
+        x = Outer(((Fraction(-1, 3), 2), None), {"k": [Fraction(10 ** 5000)]},
+                  Inner(1 - 2j, Fraction(7)))
+        assert to_json(x) == {
+            "b": [["-1/3", 2], None], "a": {"k": ["1" + "0" * 5000]},
+            "inner": {"z": [1.0, -2.0], "r": "7"}, "flag": True}
+        assert list(to_json(x)) == ["b", "a", "inner", "flag"]
+
+
 class TestBFile:
     def test_basic(self):
         start, values = parse_bfile("# primes\n1 2\n2 3\n3 5\n")
@@ -170,6 +194,25 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "regular_singular"
         assert payload["indicial_exponents"] == [["0", 2]]
+
+    def test_classify_exponent_beyond_the_str_limit(self, tmp_path, capsys):
+        # z y' = N y with N = 10^5000 + 7 has the exponent N at 0; the
+        # report's encoder used str(), which refuses 4300+ digits (exit 2)
+        N = 10 ** 5000 + 7
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"kind": "ode", "coefficients": [
+            ["0", "1"], [fraction_to_str(Fraction(-N))]]}))
+        assert main(["--json", "classify", "--ode", str(path), "--point", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        (exponent, mult), = payload["indicial_exponents"]
+        assert (str_to_fraction(exponent), mult) == (N, 1)
+
+    def test_witness_primes_nmax_below_grid_exit_2(self, capsys):
+        # nmax = 50 exited 0 with samples up to n = 100
+        assert main(["witness", "primes", "--nmax", "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error: need 100 <= nmax" in captured.err
 
     def test_witness_log_writes_schema(self, tmp_path):
         out = tmp_path / "r.json"

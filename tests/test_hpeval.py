@@ -731,6 +731,13 @@ class TestPowerDiffEval:
         b = power_diff_eval(mpc(0, 1), 200, 128)
         assert abs(a.value - b.value) <= a.bound + b.bound
 
+    @pytest.mark.parametrize("alpha", [mpf("inf"), mpc("inf", 0)],
+                             ids=["mpf-inf", "mpc-inf"])
+    def test_infinite_alpha_refused(self, alpha):
+        # alpha was read as 0: -1.0 with a bound of 2^-80
+        with pytest.raises(ValueError, match="inf is not a finite number"):
+            power_diff_eval(alpha, 10, 64)
+
 
 class TestGamma:
     def test_classical_values(self):
@@ -756,6 +763,19 @@ class TestGamma:
             gamma(0, 64)
         with pytest.raises(PoleAtNonpositiveInteger):
             gamma(-3, 64)
+
+    def test_within_rounding_of_a_pole(self):
+        # x rounds onto -1 at the working precision: a pole, not a division
+        # by zero
+        with pytest.raises(PoleAtNonpositiveInteger, match="pole at -1"):
+            gamma(Fraction(-1) + Fraction(1, 2 ** 200), 64)
+
+    @pytest.mark.parametrize("x, word", [
+        (math.nan, "nan"), (math.inf, "inf"), (mpf("-inf"), "-inf")],
+        ids=["nan", "inf", "mpf-minus-inf"])
+    def test_non_finite_refused(self, x, word):
+        with pytest.raises(ValueError, match=f"{word} is not a finite number"):
+            gamma(x, 64)
 
     def test_negative_noninteger(self):
         g = gamma(Fraction(-1, 2), 64)
@@ -810,6 +830,11 @@ class TestLambertW:
     def test_domain(self):
         with pytest.raises(ValueError):
             lambert_w(1.0, 64)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_refused(self, x):
+        with pytest.raises(ValueError, match=f"{x} is not a finite number"):
+            lambert_w(x, 64)
 
 
 class TestHarmonic:

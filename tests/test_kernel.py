@@ -1,11 +1,15 @@
+import ast
 import functools
 import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
+import numpy as np
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 from seqlib import FieldRatFun, FractionPoly, fraction_poly_gcd, random_rational_poly
 
 from holoseq.kernel import (
@@ -16,7 +20,12 @@ from holoseq.kernel import (
     poly_gcd,
     rational_roots,
     rational_roots_and_cofactor,
+    read_number,
+    read_real,
 )
+from holoseq.hpeval import BigReal
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "holoseq"
 
 
 def P(*coeffs):
@@ -382,3 +391,83 @@ class TestRationalRoots:
         assert time.perf_counter() - t0 < 1.0
         assert roots == [(Fraction(3), 1)]
         assert cof == P(big, 0, 1)
+
+
+class TestReadNumber:
+    @pytest.mark.parametrize("x, want", [
+        (3, Fraction(3)),
+        (True, Fraction(1)),
+        (Fraction(-1, 3), Fraction(-1, 3)),
+        (np.int64(-4), Fraction(-4)),
+        (0.1, Fraction(3602879701896397, 2 ** 55)),
+        (np.float64(0.25), Fraction(1, 4)),
+        (-0.0, Fraction(0)),
+        (5e-324, Fraction(1, 2 ** 1074)),
+        (mpf(1) / 3, Fraction(1 / 3)),
+        (mpf("-0"), Fraction(0)),
+        (mpmath.pi, Fraction(math.pi)),  # a constant, read at 53 bits
+        (1 + 2j, (Fraction(1), Fraction(2))),
+        (mpc(0.5, -1), (Fraction(1, 2), Fraction(-1))),
+    ], ids=["int", "bool", "Fraction", "numpy-int", "float", "numpy-float",
+            "negative-zero", "subnormal", "mpf", "mpf-zero", "constant",
+            "complex", "mpc"])
+    def test_accepted(self, x, want):
+        with mp.workprec(53):
+            got = read_number(x)
+        assert got == want and type(got) is type(want)
+        if isinstance(want, tuple):
+            with pytest.raises(TypeError, match="real number"):
+                read_real(x)
+        else:
+            assert read_real(x) == want
+
+    def test_constant_read_at_the_current_precision(self):
+        with mp.workprec(300):
+            wide = read_number(mpmath.e)
+            assert wide == read_number(+mpmath.e)
+        assert wide != read_number(mpmath.e) == Fraction(math.e)
+
+    @pytest.mark.parametrize("x, err, word", [
+        (math.nan, ValueError, "nan"),
+        (math.inf, ValueError, "inf"),
+        (-math.inf, ValueError, "-inf"),
+        (mpf("nan"), ValueError, "nan"),
+        (mpf("inf"), ValueError, "inf"),
+        (mpf("-inf"), ValueError, "-inf"),
+        (mpc("inf", 0), ValueError, "inf"),
+        (complex(1, math.nan), ValueError, "nan"),
+        ("1/2", TypeError, "str"),
+        (None, TypeError, "NoneType"),
+        (BigReal(mpf(1), 0), TypeError, "BigReal"),
+    ], ids=["nan", "inf", "-inf", "mpf-nan", "mpf-inf", "mpf-minus-inf",
+            "mpc-inf", "complex-nan", "str", "None", "BigReal"])
+    def test_refused(self, x, err, word):
+        with pytest.raises(err, match=word):
+            read_number(x)
+
+    def test_only_reader_and_encoder(self):
+        # numbers enter through kernel.read_number and reports leave
+        # through formats.to_json: no second reader of mpmath values and no
+        # hand-written report encoder in the package
+        to_dicts = 0
+        for path in sorted(SRC.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in tree.body:
+                # names, attributes, imported names and defined names
+                names = {getattr(n, a) for n in ast.walk(node)
+                         for a in ("id", "attr", "name")
+                         if isinstance(getattr(n, a, None), str)}
+                found = names & {"to_rational", "_to_mpf_arg"}
+                allowed = path.name == "kernel.py" and (
+                    isinstance(node, ast.ImportFrom)
+                    or getattr(node, "name", None) == "read_number")
+                assert not found or allowed, (path.name, node.lineno, found)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "to_dict":
+                    body = [b for b in node.body
+                            if not (isinstance(b, ast.Expr)
+                                    and isinstance(b.value, ast.Constant))]
+                    assert [ast.unparse(b) for b in body] == \
+                        ["return to_json(self)"], (path.name, node.lineno)
+                    to_dicts += 1
+        assert to_dicts == 4

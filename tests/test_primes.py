@@ -1,7 +1,10 @@
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mpf
 
 from holoseq.primes import (
     CapExceeded,
@@ -116,6 +119,33 @@ class TestLi:
         r = li(10 ** 4, bits=64)
         ref = mpmath.li(10 ** 4) - mpmath.li(2)
         assert abs(float(r.value) - float(ref)) < 1e-9
+
+
+class TestNumericArguments:
+    @pytest.mark.parametrize("f", [li, li_series, prime_pi],
+                             ids=["li", "li_series", "prime_pi"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, mpf("inf")],
+                             ids=["nan", "inf", "mpf-inf"])
+    def test_non_finite_refused(self, f, x):
+        # li(nan) returned 0 with bound 0, li(inf) never returned,
+        # li_series(inf) returned nan and prime_pi(inf) overflowed
+        with pytest.raises(ValueError, match="is not a finite number"):
+            f(x)
+
+    def test_fraction_argument(self):
+        a, b = li(Fraction(1000)), li(1000)
+        assert (a.value, a.bound) == (b.value, b.bound)
+        assert prime_pi(Fraction(1000, 3)) == prime_pi(333)
+        s, t = li_series(Fraction(10 ** 6)), li_series(10 ** 6)
+        assert (s.value, s.bound) == (t.value, t.bound)
+
+    def test_li_above_the_working_precision(self):
+        # 2^128 + 1 rounds down to 2^128 at 80 bits: the subdivision used
+        # to compare its points with the exact x and never stopped
+        t0 = time.perf_counter()
+        r = li(2 ** 128 + 1)
+        assert time.perf_counter() - t0 < 5
+        assert (r.value, r.bound) == (li(2 ** 128).value, li(2 ** 128).bound)
 
 
 class TestCipolla:

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from mpmath import mpc, mpf
 
 from holoseq import singclass
 from holoseq.annihilators import DiffOp
@@ -177,6 +178,16 @@ class TestClassifyPoint:
         with pytest.raises(NonRationalPoint):
             classify_point(euler_op(), "sqrt2")
 
+    @pytest.mark.parametrize("z0, at", [
+        (mpf(0), 0), (mpf(-1) / 4, Fraction(-1, 4))], ids=["mpf-0", "mpf-quarter"])
+    def test_mpf_point_is_rational(self, z0, at):
+        # an mpf point was refused as an algebraic point of degree > 1
+        assert classify_point(euler_op(), z0) == classify_point(euler_op(), at)
+
+    def test_complex_point_rejected(self):
+        with pytest.raises(NonRationalPoint):
+            classify_point(euler_op(), mpc(0, 1))
+
     def test_singular_points_classify_consistently(self):
         # every rational root of the leading coefficient classifies as
         # non-ordinary, and every other small rational point as ordinary
@@ -243,8 +254,11 @@ class TestForbiddenAsymptotics:
         (Scale(0, Fraction(-1, 2), 0), "log power -1/2 is not"),
         (Scale(0, -1, 0), "log power -1 is not"),
         (Scale(0, 1j, 0), "log power 1j is not"),
+        (Scale(0, mpf(0.5), 0), "log power 0.5 is not"),
+        (Scale(0, mpc(1, 1), 0), "log power (1.0 + 1.0j) is not"),
         (Scale(0, 2, 0), None),
-    ], ids=["loglog", "half", "negative", "complex", "integer"])
+    ], ids=["loglog", "half", "negative", "complex", "mpf-half", "mpc",
+            "integer"])
     def test_forbidden_scale_is_the_check_without_a_report(self, scale, why):
         # the rules that read no operator: the check gives their reason at
         # every point, and forbidden_scale gives it without a report
@@ -255,6 +269,21 @@ class TestForbiddenAsymptotics:
             for ode, z0 in [(log_op(), 1), (euler_op(), 0)]:
                 v = forbidden_asymptotics_check(classify_point(ode, z0), scale)
                 assert (v.verdict, v.reason) == ("incompatible", reason)
+
+    @pytest.mark.parametrize("scale, slot", [
+        (Scale(mpf(0), mpf(0), 0), (Fraction(-1), 0)),
+        (Scale(-0.5, 0, 0), None),
+        (Scale(1j, 0, 0), None),
+    ], ids=["mpf", "no-exponent", "complex-alpha"])
+    def test_slot_from_the_read_scale(self, scale, slot):
+        v = forbidden_asymptotics_check(classify_point(euler_op(), 0), scale)
+        assert (v.verdict, v.matching_slot) == ("compatible", slot)
+
+    @pytest.mark.parametrize("scale", [
+        Scale(float("nan"), 0, 0), Scale(0, float("inf"), 0)], ids=["nan", "inf"])
+    def test_non_finite_scale_refused(self, scale):
+        with pytest.raises(ValueError, match="is not a finite number"):
+            forbidden_asymptotics_check(classify_point(euler_op(), 0), scale)
 
     def test_matching_slot_named(self):
         # scale (0, 0, 0) matches exponent -1 when present

@@ -139,6 +139,14 @@ class TestWitnessPowers:
         with pytest.raises(ValueError, match="alpha must be real"):
             witness_powers(1j, nmax=600)
 
+    @pytest.mark.parametrize("alpha", [mpf("inf"), mpf("-inf"), math.inf],
+                             ids=["mpf-inf", "mpf-minus-inf", "float-inf"])
+    def test_infinite_alpha_refused(self, alpha):
+        # an mpf infinity was read as 0 (an integer-branch report), and a
+        # float one raised OverflowError
+        with pytest.raises(ValueError, match="inf is not a finite number"):
+            witness_powers(alpha)
+
     def test_integer_branch(self):
         rep = witness_powers(3)
         assert rep.verdicts["holonomic_branch_recurrence_found"]
@@ -205,6 +213,16 @@ class TestWitnessPrimes:
         assert rep.verdicts["bounded"]
         assert rep.verdicts["guesser_not_found"]
         assert rep.verdicts["nloglogn_scale_incompatible"]
+
+    @pytest.mark.parametrize("kw", [{"nmax": 50}, {"nmax": 99},
+                                    {"grid_points": 0}, {"grid_points": -3}],
+                             ids=["nmax-50", "nmax-99", "points-0", "points-negative"])
+    def test_grid_refusals(self, kw):
+        # nmax = 50 reported samples up to n = 100, and grid_points = 0
+        # failed inside numpy
+        with pytest.raises(ValueError, match="need 100 <= nmax <= 10\\^6 "
+                                             "and grid_points >= 1"):
+            witness_primes(**kw)
 
     def test_residuals_match_direct_formula(self):
         rep = witness_primes(nmax=10 ** 4, grid_points=10)
