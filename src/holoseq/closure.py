@@ -172,9 +172,10 @@ def binomial_diff_seq(seq, N: int, include_zero_term: bool = True,
         sums = hpeval._sums([0] * k0 + nums, range(N + 1))
         return SequenceStream([Fraction(sums[n], L) for n in range(N + 1)], "exact")
     g = target_bits if target_bits is not None else 64
-    out = hpeval.binomial_diff_stream_grid(stream, range(N + 1), g, start=k0)
-    return SequenceStream([out[n].value for n in range(N + 1)], "float",
-                          [out[n].bound for n in range(N + 1)])
+    p, sums, amplified = hpeval.binomial_diff_stream_fixed(
+        stream, range(N + 1), g, start=k0)
+    return SequenceStream(hpeval._from_fixed(sums, amplified, p), "float",
+                          [hpeval._upper(x, -p) for x in amplified.values()])
 
 
 # ---------------------------------------------------------------------------

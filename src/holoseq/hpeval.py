@@ -35,14 +35,23 @@ units of 2^-w, the working precision w = prec + guard.  In the log table
 a prime adds 1 to the count of p - 1 and a composite sums its factors'
 counts, so log k is within 2 log2 k units; the guard is derived from the
 counts, and every value returned is within 2^(1-prec) relative, inside
-the 2^(4-prec) that `binomial_diff_grid` asks of f.
+the 2^(4-prec) that `binomial_diff_grid` asks of f.  `_f_tables` takes
+these tables as integers (`fixed`): each entry rounded to prec
+significant bits, to nearest with ties to even, then to p fractional
+bits, ties up (`_rounded`), which are the two roundings of the per-k
+route, f(k, p) as an mpf and `_scaled` of it, with no mpf made.
 
 Values are returned as ``BigReal``: a midpoint and the absolute error
 bound that its producer derived (the sums above, `gamma`, `lambert_w`,
 `primes.li`).  A BigReal has no arithmetic and is never an input, so
 every bound comes from the code that computed the value.  The check of a
 bound is `BigReal.agrees_with`: recompute at more bits and see that the
-two enclosures overlap.
+two enclosures overlap.  The grids have fixed-point cores that return
+the integers before any BigReal is made (`binomial_diff_fixed`,
+`binomial_diff_stream_fixed`): the log and power witnesses read each
+float sample as the correctly rounded quotient D_n / 2^p, and the float
+path of `closure.binomial_diff_seq` makes its mpf terms and bounds from
+the integer sums directly.
 """
 
 from __future__ import annotations
@@ -312,10 +321,43 @@ def _fixed_tables(values, p: int) -> list:
     return [[_scaled(v, p) for v in values]]
 
 
-def _from_fixed(sums, p: int):
-    """The mpf (or mpc, from two sums) with value sum 2^-p, exactly."""
-    parts = [from_man_exp(s, -p) for s in sums]
-    return mp.make_mpf(parts[0]) if len(parts) == 1 else mp.make_mpc(tuple(parts))
+def _rounded(man: int, exp: int, prec: int, p: int) -> int:
+    """`_scaled(x, p)` of the mpf x = from_man_exp(man, exp, prec,
+    round_nearest), in integers: man 2^exp (man signed) rounded to prec
+    significant bits, to nearest with ties to even as mpmath rounds, then
+    times 2^p rounded to an integer, ties up.  The two roundings of an
+    entry of the prime-built tables, which `_per_k` callables return as
+    an mpf at prec bits and `_f_tables` scales to p fractional bits."""
+    neg = man < 0
+    if neg:
+        man = -man
+    n = man.bit_length() - prec
+    if n > 0:
+        t = man >> (n - 1)
+        # the half bit set, and an odd result or a nonzero bit below it
+        if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+            man = (t >> 1) + 1
+        else:
+            man = t >> 1
+        exp += n
+    if neg:
+        man = -man
+    exp += p
+    if exp >= 0:
+        return man << exp
+    return (man + (1 << (-exp - 1))) >> -exp
+
+
+def _from_fixed(sums, ns, p: int) -> list:
+    """[the mpf with value sums[0][n] 2^-p exactly for n in ns], or the
+    mpc with real part sums[0][n] 2^-p and imaginary part sums[1][n] 2^-p
+    when two sums are given."""
+    if len(sums) == 1:
+        (s,) = sums
+        return [mp.make_mpf(from_man_exp(s[n], -p)) for n in ns]
+    re, im = sums
+    return [mp.make_mpc((from_man_exp(re[n], -p), from_man_exp(im[n], -p)))
+            for n in ns]
 
 
 def _upper(man: int, exp: int) -> mpf:
@@ -324,17 +366,24 @@ def _upper(man: int, exp: int) -> mpf:
 
 
 def _f_tables(f: Callable, nmax: int, start: int, p: int) -> list:
-    """The integer tables of f(k) 2^p for k <= nmax, zero below `start`.
-    The tables that `_per_k` callables build while f is evaluated here
-    are dropped on return, before the sums run (see `_per_k`)."""
+    """The integer tables of f(k) 2^p for k <= nmax, zero below `start`:
+    `_scaled(f(k, p), p)`, which a `_per_k` callable gives as integers
+    directly (its `fixed`).  The tables that `_per_k` callables build
+    while f is evaluated here are dropped on return, before the sums run
+    (see `_per_k`)."""
     lead = min(start, nmax + 1)
+    ks = range(lead, nmax + 1)
     token = _tabulating.set({})
     try:
-        with mp.workprec(p):
-            values = [0] * lead + [f(k, p) for k in range(lead, nmax + 1)]
+        fixed = getattr(f, "fixed", None)
+        if fixed is not None:
+            tables = fixed(ks, p)
+        else:
+            with mp.workprec(p):
+                tables = _fixed_tables([f(k, p) for k in ks], p)
     finally:
         _tabulating.reset(token)
-    return _fixed_tables(values, p)
+    return [[0] * lead + t for t in tables]
 
 
 def _error_numerators(tables, ns, p: int) -> dict:
@@ -368,7 +417,8 @@ def binomial_diff_eval(f: Callable, n: int, target_bits: int,
 def binomial_diff_grid(f: Callable, ns: Iterable[int], target_bits: int,
                        start: int = 1) -> dict:
     """Evaluate the alternating binomial sum at every n in `ns`, sharing
-    one table of f-values.
+    one table of f-values: {n: BigReal}, read from the integers of
+    `binomial_diff_fixed`.
 
     The table holds the integers F_k = round(f(k, p) 2^p) for k <= max(ns),
     with F_k = 0 for k < start, at p = n + target_bits + 2 log2 n + 12 bits
@@ -380,40 +430,57 @@ def binomial_diff_grid(f: Callable, ns: Iterable[int], target_bits: int,
     |f(k)| for k <= n read from the table (1 in place of 1/2 for complex
     f).  It is at most 2^-target_bits whenever |f(k)| <= 256 n^2 for
     k <= n; a faster-growing f is evaluated once more at the precision
-    this formula asks for.  Deterministic: identical
-    (ns, target_bits) give identical bits.
+    this formula asks for.  The value at n is the sum D_n 2^-p exactly
+    (an mpc for complex f), the bound X_n 2^(n-3p-1) rounded up to 53
+    bits.  Deterministic: identical (ns, target_bits) give identical
+    bits.
     """
+    p, sums, errors = binomial_diff_fixed(f, ns, target_bits, start)
+    values = _from_fixed(sums, errors, p)
+    return {n: BigReal(v, _upper(x, n - 3 * p - 1))
+            for (n, x), v in zip(errors.items(), values)}
+
+
+def binomial_diff_fixed(f: Callable, ns: Iterable[int], target_bits: int,
+                        start: int = 1):
+    """The fixed-point core of `binomial_diff_grid`: (p, sums, errors),
+    with p the working precision, `sums` one dict {n: D_n} per table (the
+    real one, or the real and the imaginary one for complex f) with
+    D_n = sum_k binom(n,k) (-1)^k F_k, and `errors` the dict {n: X_n} in
+    increasing n, so that |sum - D_n 2^-p| <= X_n 2^(n-3p-1) <=
+    2^-target_bits (see `_error_numerators`).  An empty grid gives
+    (0, [{}], {}).  The witnesses read their floats as D_n / 2^p, a
+    correctly rounded division, and so make no mpf per grid point."""
     ns = _indices(ns)
     if not ns:
-        return {}
+        return 0, [{}], {}
     nmax = ns[-1]
     g = target_bits
     start = max(start, 0)
     p = _alternating_precision(nmax, g)
     _check_precision(p)
     tables = _f_tables(f, nmax, start, p)
+    errors = _error_numerators(tables, ns, p)
     # r + 16 M_n <= 2^c with c = bit_length(X_n) - 2p - 1; one more bit
     # covers the drift of M_n between two precisions
     need = max(n + g + (x - 1).bit_length() - 2 * p
-               for n, x in _error_numerators(tables, ns, p).items())
+               for n, x in errors.items())
     if need > p:
         p = need
         _check_precision(p)
         tables = _f_tables(f, nmax, start, p)
-    errors = _error_numerators(tables, ns, p)
+        errors = _error_numerators(tables, ns, p)
     # reached only by an f that breaks its contract
     if any(errors[n] > 1 << (3 * p + 1 - n - g) for n in ns):
         raise PrecisionExhausted("alternating sum failed to meet its bound")
-    sums = [_sums(t, ns) for t in tables]
-    return {n: BigReal(_from_fixed([s[n] for s in sums], p),
-                       _upper(errors[n], n - 3 * p - 1))
-            for n in ns}
+    return p, [_sums(t, ns) for t in tables], errors
 
 
 def binomial_diff_stream_grid(stream, ns: Iterable[int], target_bits: int,
                               start: int = 0) -> dict:
     """Alternating binomial sums of stored terms with per-term bounds b_k,
-    at every n in `ns`.
+    at every n in `ns`: {n: BigReal}, read from the integers of
+    `binomial_diff_stream_fixed`.
 
     The terms are rounded to F_k = round(t_k 2^p) at the working precision
     p of `binomial_diff_grid` and summed exactly by `_sums`, which sweeps
@@ -424,9 +491,23 @@ def binomial_diff_stream_grid(stream, ns: Iterable[int], target_bits: int,
     accuracy is limited by the data: if that bound exceeds
     2^-target_bits, PrecisionExhausted is raised (more working precision
     cannot help)."""
+    p, sums, amplified = binomial_diff_stream_fixed(stream, ns, target_bits,
+                                                    start)
+    values = _from_fixed(sums, amplified, p)
+    return {n: BigReal(v, _upper(x, -p))
+            for (n, x), v in zip(amplified.items(), values)}
+
+
+def binomial_diff_stream_fixed(stream, ns: Iterable[int], target_bits: int,
+                               start: int = 0):
+    """The fixed-point core of `binomial_diff_stream_grid`: (p, sums,
+    amplified), with `sums` one dict {n: D_n} per table (two for complex
+    terms) and `amplified` the dict {n: B_n} in increasing n, so that the
+    sum at n is D_n 2^-p within B_n 2^-p.  An empty grid gives
+    (0, [{}], {})."""
     ns = _indices(ns)
     if not ns:
-        return {}
+        return 0, [{}], {}
     nmax = ns[-1]
     if len(stream.terms) <= nmax:
         raise ValueError("stream too short")
@@ -441,10 +522,7 @@ def binomial_diff_stream_grid(stream, ns: Iterable[int], target_bits: int,
         raise PrecisionExhausted(
             "input bounds amplify beyond the requested accuracy")
     tables = _fixed_tables([0] * lead + stream.terms[lead:nmax + 1], p)
-    sums = [_sums(t, ns) for t in tables]
-    return {n: BigReal(_from_fixed([s[n] for s in sums], p),
-                       _upper(amplified[n], -p))
-            for n in ns}
+    return p, [_sums(t, ns) for t in tables], amplified
 
 
 def binomial_diff_stream_eval(stream, n: int, target_bits: int,
@@ -580,6 +658,9 @@ class _LogTable(_Table):
     def output(self, v):
         return mp.make_mpf(from_man_exp(v, -self.w, self.prec, round_nearest))
 
+    def fixed(self, v, p):
+        return _rounded(v, -self.w, self.prec, p)
+
 
 # the largest denominator b of alpha = a/b that `_PowerTable` takes by the
 # integer b-th root.  Timed on the 365 primes up to 2470 at 2550 bits, the
@@ -645,6 +726,15 @@ class _PowerTable(_Table):
             return mp.make_mpc(mpc_pos(v, self.prec, round_nearest))
         return mp.make_mpf(mpf_pos(v, self.prec, round_nearest))
 
+    def fixed(self, v, p):
+        if self.complex:
+            return tuple(self._part(x, p) for x in v)
+        return self._part(v, p)
+
+    def _part(self, x, p):
+        sign, man, exp, _ = x
+        return _rounded(-man if sign else man, exp, self.prec, p)
+
 
 # the tables `_per_k` callables build during one `_f_tables` evaluation
 _tabulating = contextvars.ContextVar("_tabulating")
@@ -662,6 +752,11 @@ def _per_k(make: Callable, rate: int) -> Callable:
     f(k) (log k >= log 2 turns the absolute count of log into a relative
     one).
 
+    f.fixed(ks, p) gives the integer tables `_f_tables` makes of f at p
+    bits, [[_scaled(f(k, p), p) for k in ks]] (the real and the imaginary
+    table for a complex f), from the same entries: each table's `fixed`
+    rounds an entry twice in integers (`_rounded`), with no mpf.
+
     The table is kept with f between direct calls, but while `_f_tables`
     evaluates f it is kept in the scope `_f_tables` opens, so that it dies
     with the scope and not with f, which callers may hold through the
@@ -669,19 +764,35 @@ def _per_k(make: Callable, rate: int) -> Callable:
     key = object()
     kept = {}
 
-    def f(k, prec):
-        if k < 1:
-            raise ValueError(f"the table starts at k = 1, not at {k}")
+    def entries(ks, prec):
+        """(table, entry) for each k in ks, in turn."""
+        if ks and min(ks) < 1:
+            raise ValueError(f"the table starts at k = 1, not at {min(ks)}")
         tables = _tabulating.get(kept)
         table = tables.get(key)
         if table is None or table.prec != prec:
             table = tables[key] = make(
                 prec, (rate * prec.bit_length()).bit_length() + 2)
-        value, count = table.entry(k)
-        if count >> (table.w - prec - 2):
-            table = tables[key] = make(prec, count.bit_length() + 2)
-            value, count = table.entry(k)
+        top = max(ks, default=0)
+        table.entry(top)
+        for k in ks:
+            count = table.counts[k]
+            if count >> (table.w - prec - 2):
+                table = tables[key] = make(prec, count.bit_length() + 2)
+                table.entry(top)
+            yield table, table.values[k]
+
+    def f(k, prec):
+        ((table, value),) = entries((k,), prec)
         return table.output(value)
+
+    def fixed(ks, p):
+        rows = [table.fixed(value, p) for table, value in entries(ks, p)]
+        if rows and isinstance(rows[0], tuple):
+            return [list(part) for part in zip(*rows)]
+        return [rows]
+
+    f.fixed = fixed
     return f
 
 
@@ -745,9 +856,37 @@ def gamma(x, target_bits: int = 64) -> BigReal:
     Fraction, a float, an mpf or an mpmath constant, rounded once to the
     working precision.  An x that is, or rounds to, a nonpositive integer
     raises PoleAtNonpositiveInteger, a NaN or an infinity ValueError, and a
-    complex or any other type TypeError."""
+    complex or any other type TypeError.
+
+    The working precision is wp = target_bits + 24 bits, and the bound
+    (`_gamma`) counts, besides the series tail and the roundings of the
+    operations, the rounding of x amplified by |x psi(x)| and the absolute
+    error of log Gamma that exp turns into a relative one.  Near a pole
+    the first, and at a large x both, can exceed 2^-target_bits: Gamma is
+    then computed once more at wp plus the missing bits, and
+    PrecisionExhausted is raised if that misses too."""
     wp = target_bits + 24
-    _check_precision(wp)
+    for _ in range(2):
+        _check_precision(wp)
+        br = _gamma(x, wp)
+        allowed = mpf(2) ** (-target_bits) * max(1, abs(br.value))
+        if br.bound <= allowed:
+            return br
+        wp += int(mpmath.log(br.bound / allowed, 2)) + 3
+    raise PrecisionExhausted("gamma failed to meet its bound")
+
+
+def _gamma(x, wp: int) -> BigReal:
+    """Gamma(x) at wp bits, with the bound 2 |value| max(rel, amp).
+
+    In units u = 2^-wp, rel is the series tail plus 4 u for each of the
+    shift + j + 8 operations, and amp counts two first-order errors: the
+    rounding of x, u |x psi(x)|, with |psi(x)| <= log xs + sum_i 1/|x + i|
+    over the shift factors (psi(xs) lies in (0, log xs) for xs >= 2), and
+    the absolute error of lg = log Gamma(xs), 4 u |lg|, which exp turns
+    into a relative one.  2 max(rel, amp) >= rel + amp, and while
+    amp <= rel the bound is the 2 |value| rel of the operation count
+    alone."""
     with mp.workprec(wp):
         q = read_real(x)
         xv = mpf(q.numerator) / q.denominator
@@ -757,8 +896,8 @@ def gamma(x, target_bits: int = 64) -> BigReal:
         shift = max(0, int(mpmath.ceil(wp / mpf(9) + 3 - xv)))
         xs = xv + shift
         # Stirling at xs: (xs - 1/2) log xs - xs + log(2 pi)/2 + series
-        lg = (xs - mpf(1) / 2) * mpmath.log(xs) - xs \
-            + mpmath.log(2 * mpmath.pi) / 2
+        log_xs = mpmath.log(xs)
+        lg = (xs - mpf(1) / 2) * log_xs - xs + mpmath.log(2 * mpmath.pi) / 2
         tail = None
         j = 1
         prev_mag = mpf("inf")
@@ -777,15 +916,17 @@ def gamma(x, target_bits: int = 64) -> BigReal:
                 break
         gs = mpmath.exp(lg)
         prod = mpf(1)
+        near = mpf(0)
         for i in range(shift):
-            prod *= (xv + i)
+            factor = xv + i
+            prod *= factor
+            near += 1 / abs(factor)
         value = gs / prod
+        u = mpf(2) ** (-wp)
         # relative error: series tail + rounding on O(shift + j) operations
-        rel = tail + mpf(2) ** (-wp) * (shift + j + 8) * 4
-        br = BigReal(value, abs(value) * rel * 2)
-    if br.bound > mpf(2) ** (-target_bits) * max(1, abs(br.value)):
-        raise PrecisionExhausted("gamma failed to meet its bound")
-    return br
+        rel = tail + u * (shift + j + 8) * 4
+        amp = u * (abs(xv) * (log_xs + near) + 4 * abs(lg))
+        return BigReal(value, abs(value) * max(rel, amp) * 2)
 
 
 # ---------------------------------------------------------------------------

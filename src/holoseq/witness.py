@@ -58,19 +58,6 @@ class WitnessReport:
         return all(self.verdicts.values())
 
 
-def _grid_and_precision(f, ns, target_bits: int):
-    """binomial_diff_grid(f, ns, target_bits) and the largest working
-    precision f was evaluated at, which is the precision of the report."""
-    used = 0
-
-    def recorded(k, prec):
-        nonlocal used
-        used = max(used, prec)
-        return f(k, prec)
-
-    return hpeval.binomial_diff_grid(recorded, ns, target_bits), used
-
-
 def witness_log(nmax: int = 2000, grid=None, target_bits: int = 64) -> WitnessReport:
     """Alternating binomial differences of log k against loglog n:
     d_n = transform(n) - loglog(n) must stay inside (0, 2) with small
@@ -80,10 +67,14 @@ def witness_log(nmax: int = 2000, grid=None, target_bits: int = 64) -> WitnessRe
     ns = _grid(grid, nmax, 100, range(100, nmax + 1))
     if ns[0] < 2:
         raise ValueError("grid indices need n >= 2 so loglog n is defined")
-    values, p = _grid_and_precision(hpeval.log_seq(), ns, target_bits)
+    # each sample is D_n / 2^p, correctly rounded, from the integer sums;
+    # the report's precision is their p
+    p, (sums,), _ = hpeval.binomial_diff_fixed(hpeval.log_seq(), ns,
+                                               target_bits)
+    scale = 1 << p
     samples = []
     for n in ns:
-        v = float(values[n].value)
+        v = sums[n] / scale
         ref = math.log(math.log(n))
         samples.append({"x": n, "value": v, "reference": ref,
                         "deviation": v - ref})
@@ -185,12 +176,14 @@ def witness_powers(alpha=0.5, nmax: Optional[int] = None, grid=None,
 
     nmax = 5000 if nmax is None else nmax
     ns = _grid(grid, nmax, 500, log_grid(500, nmax, 48))
-    values, p = _grid_and_precision(hpeval.power_seq(a_frac), ns, target_bits)
+    p, (sums,), _ = hpeval.binomial_diff_fixed(hpeval.power_seq(a_frac), ns,
+                                               target_bits)
+    scale = 1 << p
     g1a = hpeval.gamma(1 - a_frac, target_bits)
     a = float(a_frac)
     samples = []
     for n in ns:
-        w = float(values[n].value)
+        w = sums[n] / scale
         ref = -float((mpf(math.log(n)) ** mpf(-a)) / g1a.value)
         rho = -w * float(g1a.value) * math.log(n) ** a
         samples.append({"x": n, "value": w, "reference": ref,

@@ -248,9 +248,9 @@ class TestCli:
         from holoseq import hpeval
 
         def never(*args):
-            raise AssertionError("a sum ran")
+            raise AssertionError("a table was built")
 
-        monkeypatch.setattr(hpeval, "binomial_diff_grid", never)
+        monkeypatch.setattr(hpeval, "_f_tables", never)
         assert main(["witness", "powers", "--nmax", "5001"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -11,6 +11,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, round_nearest
 
 from holoseq.annihilators import SequenceStream
 from holoseq import hpeval, witness
@@ -582,7 +583,16 @@ class TestPrimeTableWitnesses:
 
     @staticmethod
     def reference(f, ns):
-        return witness._grid_and_precision(f, ns, 64)
+        """binomial_diff_grid(f, ns, 64) and the largest working precision
+        f was evaluated at."""
+        used = 0
+
+        def recorded(k, prec):
+            nonlocal used
+            used = max(used, prec)
+            return f(k, prec)
+
+        return binomial_diff_grid(recorded, ns, 64), used
 
     @staticmethod
     def assert_close(report, reference):
@@ -610,6 +620,171 @@ class TestPrimeTableWitnesses:
         read = Fraction(alpha).limit_denominator(10 ** 9)
         f = sqrt_seq if alpha == 0.5 else mpmath_power_seq(read)
         self.assert_close(report, self.reference(f, ns))
+
+
+@st.composite
+def rounding_inputs(draw):
+    """(man, exp, prec, p) for `hpeval._rounded`: random values, exact ties
+    in the first rounding (to prec bits) and in the second (to p
+    fractional bits), zero, values below 1, and mantissas shorter than
+    prec, each of either sign."""
+    prec = draw(st.integers(1, 200))
+    p = draw(st.integers(0, 300))
+    sign = draw(st.sampled_from((1, -1)))
+    kind = draw(st.sampled_from(
+        ("any", "tie-prec", "tie-fixed", "below-one", "short", "zero")))
+    if kind == "zero":
+        return 0, draw(st.integers(-400, 400)), prec, p
+    if kind == "tie-prec":
+        # more than prec bits, and the bits dropped are exactly one half
+        n = draw(st.integers(1, 80))
+        q = draw(st.integers(1 << (prec - 1), (1 << prec) - 1))
+        man = q << n | 1 << (n - 1)
+        exp = draw(st.integers(-p - n - 100, 50))
+    elif kind == "tie-fixed":
+        # at most prec bits, an odd multiple of 2^(-p-1)
+        man, exp = draw(st.integers(0, (1 << prec) - 1)) | 1, -p - 1
+    elif kind == "below-one":
+        man = draw(st.integers(1, (1 << 400) - 1))
+        exp = -man.bit_length() - draw(st.integers(0, 10))
+    elif kind == "short":
+        man = draw(st.integers(1, max(1, (1 << (prec - 1)) - 1)))
+        exp = draw(st.integers(-p - 100, 100))
+    else:
+        man = draw(st.integers(1, (1 << 500) - 1))
+        exp = draw(st.integers(-600, 100))
+    return sign * man, exp, prec, p
+
+
+class TestIntegerTables:
+    """`_f_tables` reads the prime-built tables as integers (their
+    `fixed`), with the two roundings of the per-k contract: the entry to
+    prec bits as an mpf, then `_scaled` to p fractional bits."""
+
+    SEQS = [("log", hpeval.log_seq)] + [
+        (str(a), lambda a=a: hpeval.power_seq(a))
+        for a in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
+                  Fraction(3, 2), Fraction(7, 2), Fraction(1, 11),
+                  Fraction(-1, 3), mpc(0, 1))]
+
+    @staticmethod
+    def per_k(f, nmax, p):
+        """The tables of the generic path, one f(k, p) per k: a plain
+        callable offers no `fixed`."""
+        return hpeval._f_tables(lambda k, prec: f(k, prec), nmax, 1, p)
+
+    @pytest.mark.parametrize("nmax", [60, 700, 2450])
+    @pytest.mark.parametrize("name, make", SEQS, ids=[s[0] for s in SEQS])
+    def test_equal_to_the_per_k_contract(self, name, make, nmax):
+        p = hpeval._alternating_precision(nmax, 64)
+        f = make()
+        assert hasattr(f, "fixed")
+        assert hpeval._f_tables(f, nmax, 1, p) == self.per_k(f, nmax, p)
+
+    def test_the_retry_at_702_bits(self, monkeypatch):
+        # n^(7/2) outgrows the first precision at n = 600: both tables
+        seen = []
+        tables = hpeval._f_tables
+
+        def spy(f, nmax, start, p):
+            out = tables(f, nmax, start, p)
+            per_k = tables(lambda k, prec: f(k, prec), nmax, start, p)
+            seen.append((p, out == per_k))
+            return out
+
+        monkeypatch.setattr(hpeval, "_f_tables", spy)
+        hpeval.binomial_diff_fixed(hpeval.power_seq(Fraction(7, 2)),
+                                   witness.log_grid(500, 600, 48), 64)
+        assert seen == [(696, True), (702, True)]
+
+    def test_guard_rebuild(self, monkeypatch):
+        # as in TestPrimeTables.test_guard_grows_beyond_prec: at 16 bits
+        # the table is built again at 65535, on both routes
+        guards = []
+
+        class Spy(hpeval._LogTable):
+            def __init__(self, prec, guard):
+                guards.append(guard)
+                super().__init__(prec, guard)
+
+        monkeypatch.setattr(hpeval, "_LogTable", Spy)
+        ks = (10, 65535, 65536, 3 ** 9 * 5, 99991)
+        fixed = hpeval.log_seq().fixed(ks, 16)
+        assert guards == [6, 7]
+        f = hpeval.log_seq()
+        assert fixed == [[hpeval._scaled(f(k, 16), 16) for k in ks]]
+        assert guards == [6, 7, 6, 7]
+
+    def test_empty_grids(self):
+        stream = SequenceStream([mpf(1)] * 3, "float", [0] * 3)
+        assert binomial_diff_grid(hpeval.log_seq(), [], 64) == {}
+        assert hpeval.binomial_diff_stream_grid(stream, [], 64) == {}
+        assert hpeval.binomial_diff_fixed(hpeval.log_seq(), [], 64) \
+            == (0, [{}], {})
+
+    def test_empty_range_and_k_below_one(self):
+        f = hpeval.power_seq(mpc(0, 1))
+        assert f.fixed(range(1, 1), 64) == [[]]
+        assert hpeval._f_tables(f, 5, 9, 64) == [[0] * 6]
+        with pytest.raises(ValueError, match="starts at k = 1, not at 0"):
+            hpeval._f_tables(f, 5, 0, 64)
+
+    @settings(max_examples=500, deadline=None)
+    @given(rounding_inputs())
+    @example((3, 0, 1, 0))      # a tie to prec bits: 3 -> 4
+    @example((5, 0, 2, 0))      # a tie to prec bits: 5 -> 4
+    @example((1, -1, 8, 0))     # a tie to p bits: 1/2 -> 1
+    @example((-1, -1, 8, 0))    # -1/2 -> 0
+    @example((-3, -1, 8, 0))    # -3/2 -> -1
+    @example((0, 0, 8, 8))
+    def test_two_roundings(self, args):
+        man, exp, prec, p = args
+        x = mp.make_mpf(from_man_exp(man, exp, prec, round_nearest))
+        assert hpeval._rounded(man, exp, prec, p) == hpeval._scaled(x, p)
+
+    def test_second_rounding_is_exercised(self):
+        # log k >= log 2 > 1/2 keeps at most p fractional bits at p
+        # significant bits, so the second rounding of a log entry is exact;
+        # entries below 1/2, as k^(-1/3) and the parts of k^i, round twice
+        p = 700
+        for make, twice in [(hpeval.log_seq, False),
+                            (lambda: hpeval.power_seq(Fraction(-1, 3)), True),
+                            (lambda: hpeval.power_seq(mpc(0, 1)), True)]:
+            f = make()
+            values = [f(k, p) for k in range(1, 61)]
+            parts = [x for v in values
+                     for x in ((v.real, v.imag) if isinstance(v, mpc) else (v,))]
+            assert any(hpeval._scaled(x, p + 1) & 1 for x in parts) == twice
+
+
+class TestNoMpfPerPoint:
+    """The dense witnesses read their floats from the integer sums: no
+    BigReal, and for the log witness no mpmath call at all."""
+
+    @staticmethod
+    def count(monkeypatch):
+        made = []
+
+        class Counted(hpeval.BigReal):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(hpeval, "BigReal", Counted)
+        return made
+
+    def test_log(self, monkeypatch):
+        made = self.count(monkeypatch)
+        calls = mpmath_calls(lambda: witness.witness_log(nmax=300))
+        assert made == [] and sum(calls.values()) == 0
+
+    def test_powers(self, monkeypatch):
+        made = self.count(monkeypatch)
+        witness.witness_powers(0.5, nmax=600)
+        # the one from Gamma(1/2)
+        assert len(made) == 1
 
 
 class TestWorkCounts:
@@ -799,6 +974,49 @@ class TestGamma:
             a = gamma(x, 64)
             b = gamma(x, 128)
             assert a.agrees_with(b)
+
+    @staticmethod
+    def assert_enclosed(x, target):
+        g = gamma(x, target)
+        with mp.workprec(800):
+            oracle = mpmath.gamma(mpf(x.numerator) / x.denominator)
+            assert abs(g.value - oracle) <= g.bound \
+                <= mpf(2) ** -target * max(1, abs(g.value))
+
+    @pytest.mark.parametrize("x", [
+        Fraction(-1) + Fraction(1, 3 * 2 ** 70), Fraction(2 ** 40) + Fraction(1, 3)],
+        ids=["near-a-pole", "large"])
+    def test_amplified_errors_counted(self, x):
+        # the rounding of x, amplified by |x psi(x)| near the pole -1, and
+        # the absolute error of log Gamma at a large x: these bounds did
+        # not count them (an error of 2^53.6 against a bound of 2^-8.1, and
+        # a relative error of 2^-43 against a relative bound of 2^-81.7);
+        # both are now computed again at more bits
+        self.assert_enclosed(x, 64)
+
+    def test_seeded_sweep(self):
+        rng = random.Random(25)
+        for _ in range(60):
+            target = rng.choice([53, 64, 128])
+            kind = rng.choice(["moderate", "near-a-pole", "large"])
+            if kind == "moderate":
+                x = Fraction(rng.randint(-400, 400), rng.randint(1, 97))
+                if x <= 0 and x.denominator == 1:
+                    continue
+            elif kind == "near-a-pole":
+                # at least 2^-(target+4): x does not round onto the pole
+                offset = Fraction(1, rng.randint(2, 9) << rng.randint(8, target))
+                x = -rng.randint(0, 12) + rng.choice((-1, 1)) * offset
+            else:
+                x = (Fraction(1 << rng.randint(8, 60))
+                     + Fraction(rng.randint(1, 99), 100))
+            self.assert_enclosed(x, target)
+
+    def test_recomputation_respects_the_cap(self, monkeypatch):
+        # 2^40 + 1/3 needs about 27 bits more than its first 88
+        monkeypatch.setenv("HOLO_PRECISION_CAP", "100")
+        with pytest.raises(PrecisionExhausted):
+            gamma(Fraction(2 ** 40) + Fraction(1, 3), 64)
 
 
 class TestLambertW:

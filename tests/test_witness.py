@@ -80,9 +80,9 @@ class TestDefaultGrids:
             "powers-grid"])
     def test_sizes_above_cap_rejected_before_any_sum(self, run, monkeypatch):
         def never(*args):
-            raise AssertionError("a sum ran")
+            raise AssertionError("a table was built")
 
-        monkeypatch.setattr(hpeval, "binomial_diff_grid", never)
+        monkeypatch.setattr(hpeval, "_f_tables", never)
         with pytest.raises(ValueError, match="above the cap 5000"):
             run()
 
@@ -133,9 +133,9 @@ class TestWitnessPowers:
 
     def test_complex_alpha_refused_before_any_sum(self, monkeypatch):
         def never(*args):
-            raise AssertionError("a sum ran")
+            raise AssertionError("a table was built")
 
-        monkeypatch.setattr(hpeval, "binomial_diff_grid", never)
+        monkeypatch.setattr(hpeval, "_f_tables", never)
         with pytest.raises(ValueError, match="alpha must be real"):
             witness_powers(1j, nmax=600)
 
